@@ -1,0 +1,65 @@
+"""Bounds-checked reads for the OFAD and OFAC binary formats.
+
+A reader holds one file's bytes and a cursor. Every read first checks that
+the bytes it needs are there, so a truncated or corrupt file raises a
+``ValueError`` that names the path and the byte offset, never a raw
+``struct.error`` or a numpy "buffer is smaller than requested size".
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from pathlib import Path
+from typing import NoReturn
+
+import numpy as np
+
+
+class BinaryReader:
+    """The bytes of one file of format ``name`` (``"OFAD"`` or ``"OFAC"``) and a cursor."""
+
+    def __init__(self, path: str | Path, name: str):
+        self.path = path
+        self.name = name
+        with open(path, "rb") as fh:
+            self.raw = fh.read()
+        self.off = 0
+
+    def fail(self, what: str, at: int | None = None) -> NoReturn:
+        offset = self.off if at is None else at
+        raise ValueError(f"{self.path}: {what} at byte offset {offset}")
+
+    def take(self, nbytes: int, what: str) -> int:
+        """Advance past ``nbytes``; returns where they start."""
+        start = self.off
+        left = len(self.raw) - start
+        if nbytes > left:
+            self.fail(f"truncated {self.name} file: {what} needs {nbytes} bytes, {left} left")
+        self.off = start + nbytes
+        return start
+
+    def read(self, nbytes: int, what: str) -> bytes:
+        start = self.take(nbytes, what)
+        return self.raw[start : start + nbytes]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self.take(struct.calcsize(fmt), what))
+
+    def text(self, nbytes: int, encoding: str, what: str) -> str:
+        start = self.off
+        try:
+            return self.read(nbytes, what).decode(encoding)
+        except UnicodeDecodeError:
+            self.fail(f"{what} is not {encoding} text", start)
+
+    def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Read-only view of the next ``shape`` items of ``dtype``."""
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)  # python ints: a corrupt extent cannot overflow
+        start = self.take(count * dtype.itemsize, what)
+        return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start).reshape(shape)
+
+    def finish(self, what: str) -> None:
+        if self.off != len(self.raw):
+            self.fail(f"trailing bytes after {what}")

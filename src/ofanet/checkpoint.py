@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runconfig
+from .binread import BinaryReader
 from .modalities import ModalityRegistry
 from .model import OfaNet, build_ofanet, named_parameters, rebind_parameters
 
@@ -64,37 +65,23 @@ def save_net(path: str | Path, net: OfaNet, config_text: str) -> None:
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
+    rd = BinaryReader(path, "OFAC")
+    if rd.read(4, "magic") != _MAGIC:
         raise ValueError(f"{path}: not an OFAC checkpoint file")
-    off = 4
-    (version,) = struct.unpack_from("<H", raw, off)
-    off += 2
+    (version,) = rd.unpack("<H", "version")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported OFAC version {version}")
-    (cfg_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    config_text = raw[off : off + cfg_len].decode("utf-8")
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (cfg_len,) = rd.unpack("<I", "config length")
+    config_text = rd.text(cfg_len, "utf-8", "config text")
+    (count,) = rd.unpack("<I", "tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, off) if rank else ()
-        off += 4 * rank
-        size = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f4", count=size, offset=off).reshape(shape)
-        off += 4 * size
-        tensors[name] = np.array(data)  # own the memory
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes after tensor data")
+        (name_len,) = rd.unpack("<I", "tensor name length")
+        name = rd.text(name_len, "utf-8", "tensor name")
+        (rank,) = rd.unpack("<B", f"{name} rank")
+        shape = rd.unpack(f"<{rank}I", f"{name} shape")
+        tensors[name] = np.array(rd.array("<f4", shape, f"{name} data"))  # own the memory
+    rd.finish("tensor data")
     return Checkpoint(config_text=config_text, tensors=tensors)
 
 

@@ -2,9 +2,10 @@
 Transformer backbone, per-modality masked-autoencoder decoders.
 
 All modalities meet the same backbone parameters; anything per-modality
-lives strictly in its embedder or decoder. Forward helpers operate on a
-single image (the trainer loops a mini-batch into one graph). Frozen
-feature extraction runs off-tape.
+lives strictly in its embedder or decoder. Training runs one graph per
+mini-batch through ``mim_forward_batch``; the single-image helpers
+(``embed``, ``encode``, ``decode``, ``mim_forward``) serve frozen feature
+extraction, which runs off-tape.
 """
 
 from __future__ import annotations
@@ -85,17 +86,21 @@ def sincos_pos_table(rows: int, cols: int, dim: int) -> np.ndarray:
 
 
 def patchify(image, patch_size: int) -> np.ndarray:
-    """[h, w, c] -> [n, p*p*c]; row i*cols+j is patch (i, j), channel fastest."""
+    """[h, w, c] -> [n, p*p*c]; row i*cols+j is patch (i, j), channel fastest.
+
+    A leading batch axis is kept: [b, h, w, c] -> [b, n, p*p*c].
+    """
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
-    if arr.ndim != 3:
-        raise ValueError(f"patchify expects [h, w, c], got shape {arr.shape}")
-    h, w, c = arr.shape
+    if arr.ndim not in (3, 4):
+        raise ValueError(f"patchify expects [h, w, c] or [b, h, w, c], got shape {arr.shape}")
+    *lead, h, w, c = arr.shape
     p = patch_size
     if h % p or w % p:
         raise ValueError(f"image size {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
-    out = arr.reshape(gh, p, gw, p, c).transpose(0, 2, 1, 3, 4).reshape(gh * gw, p * p * c)
-    return np.ascontiguousarray(out)
+    k = len(lead)
+    out = arr.reshape(*lead, gh, p, gw, p, c).transpose(*range(k), k, k + 2, k + 1, k + 3, k + 4)
+    return np.ascontiguousarray(out.reshape(*lead, gh * gw, p * p * c))
 
 
 def unpatchify(patches, grid: tuple[int, int], patch_size: int, channels: int) -> np.ndarray:
@@ -580,7 +585,7 @@ def mim_forward_batch(net: OfaNet, images: np.ndarray, modality: str, ratio: flo
     if not 0.0 < ratio < 1.0 or m == 0 or m == n:
         raise ValueError(f"mask ratio {ratio} degenerate for n={n}")
 
-    targets = np.stack([patchify(images[i], p) for i in range(b)])  # [b, n, ppc]
+    targets = patchify(images, p)  # [b, n, ppc]
     perms = np.stack(
         [np.random.Generator(np.random.PCG64(key)).permutation(n) for key in rng_keys]
     ).astype(np.intp)
@@ -604,7 +609,7 @@ def mim_forward_batch(net: OfaNet, images: np.ndarray, modality: str, ratio: flo
     pred = ndt.add(ndt.matmul(x, dec.head_w), dec.head_b)  # [b, n, ppc]
 
     pred_rows = ndt.gather_rows_batch(pred, masked)
-    target_rows = np.take_along_axis(targets, masked[:, :, None], axis=1)
+    target_rows = targets[np.arange(b)[:, None], masked]
     return ndt.mse(pred_rows, Tensor(target_rows))
 
 

@@ -2,8 +2,11 @@
 
 Just enough surface for a small Vision Transformer: matmul (stacked),
 add/sub/mul with the broadcasting the model needs, transpose/permute,
-reshape, row gather (scatter-add on backward), softmax, layer norm, GELU,
-sum/mean reductions, and MSE.
+reshape, row gather, softmax, layer norm, GELU, sum/mean reductions, and
+MSE. The batched row gather's backward scatters the gradient back by plain
+assignment when each batch row's indices are distinct (a mask permutation)
+and scatter-adds it otherwise. ``matmul`` computes no gradient for an input
+that does not require one.
 
 Ops never mutate their inputs. Outputs are fresh contiguous arrays. Every
 op whose result requires grad is recorded on a module-level tape; calling
@@ -255,6 +258,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
+    # a constant input (an embedder's patch tensor) gets no gradient product
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     if a.ndim > 2 and b.ndim == 2:
         # stacked @ weight: fold leading dims into one gemm instead of
@@ -264,15 +269,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def grad_fn(g):
             g2 = g.reshape(-1, bsh[-1])
-            return (g2 @ bd.T).reshape(ash), a2.T @ g2
+            ga = (g2 @ bd.T).reshape(ash) if a_grad else None
+            gb = a2.T @ g2 if b_grad else None
+            return ga, gb
 
         return _result(data, (a, b), grad_fn)
 
     data = ad @ bd
 
     def grad_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ash)
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bsh)
+        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ash) if a_grad else None
+        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bsh) if b_grad else None
         return ga, gb
 
     return _result(data, (a, b), grad_fn)
@@ -320,7 +327,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 def gather_rows_batch(a: Tensor, idx) -> Tensor:
     """Per-sample row gather: a [b, n, d], idx [b, k] -> [b, k, d].
 
-    Same scatter-add backward as gather_rows, one index list per batch row.
+    One index list per batch row. When each row's indices are distinct (the
+    mask permutations of MIM), the backward scatters the gradient back by
+    plain assignment; otherwise it scatter-adds like gather_rows, so a
+    repeated index collects every gradient that reached it.
     """
     idx = np.asarray(idx, dtype=np.intp)
     if a.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
@@ -333,10 +343,15 @@ def gather_rows_batch(a: Tensor, idx) -> Tensor:
 
     def grad_fn(g):
         ga = np.zeros(ash, dtype=g.dtype)
-        np.add.at(ga, (rows, idx), g)
+        ordered = np.sort(idx, axis=1)
+        if not (ordered[:, 1:] == ordered[:, :-1]).any():
+            # same values as adding into zeros, but a -0.0 keeps its sign
+            ga[rows, idx] = g
+        else:
+            np.add.at(ga, (rows, idx), g)
         return (ga,)
 
-    return _result(np.take_along_axis(a.data, idx[:, :, None], axis=1), (a,), grad_fn)
+    return _result(a.data[rows, idx], (a,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -521,8 +536,3 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(contrib, dtype=t.data.dtype, copy=True)
     else:
         t.grad = t.grad + contrib
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None

@@ -39,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binread import BinaryReader
 from .modalities import ModalitySpec
 from .seeds import generator, parallel_map
 
@@ -282,18 +283,6 @@ class LoadedDataset:
             return LABEL_MASK
         return LABEL_NONE
 
-    def to_samples(self) -> list[SynthSample]:
-        out = []
-        for i in range(self.images.shape[0]):
-            out.append(
-                SynthSample(
-                    image=self.images[i],
-                    label=int(self.labels[i]) if self.labels is not None else None,
-                    mask=self.masks[i] if self.masks is not None else None,
-                )
-            )
-        return out
-
 
 def stack_samples(modality_id: str, samples: list[SynthSample]) -> LoadedDataset:
     images = np.stack([s.image for s in samples]).astype(np.float32)
@@ -332,34 +321,33 @@ def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
 
 
 def load_dataset(path: str | Path) -> LoadedDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _DATASET_MAGIC:
+    rd = BinaryReader(path, "OFAD")
+    if rd.read(4, "magic") != _DATASET_MAGIC:
         raise ValueError(f"{path}: not an OFAD dataset file")
-    off = 4
-    (version,) = struct.unpack_from("<H", raw, off)
-    off += 2
+    (version,) = rd.unpack("<H", "version")
     if version != _DATASET_VERSION:
         raise ValueError(f"{path}: unsupported OFAD version {version}")
-    (id_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    modality_id = raw[off : off + id_len].decode("ascii")
-    off += id_len
-    n, h, w, c, kind = struct.unpack_from("<IHHHB", raw, off)
-    off += struct.calcsize("<IHHHB")
-    img_bytes = h * w * c * 4
-    images = np.empty((n, h, w, c), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64) if kind == LABEL_CLASS else None
-    masks = np.empty((n, h, w), dtype=np.uint8) if kind == LABEL_MASK else None
-    for i in range(n):
-        images[i] = np.frombuffer(raw, dtype="<f4", count=h * w * c, offset=off).reshape(h, w, c)
-        off += img_bytes
-        if kind == LABEL_CLASS:
-            (labels[i],) = struct.unpack_from("<H", raw, off)
-            off += 2
-        elif kind == LABEL_MASK:
-            masks[i] = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=off).reshape(h, w)
-            off += h * w
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes after sample data")
+    (id_len,) = rd.unpack("<I", "modality id length")
+    modality_id = rd.text(id_len, "ascii", "modality id")
+    n, h, w, c, kind = rd.unpack("<IHHHB", "header")
+    if kind not in (LABEL_NONE, LABEL_CLASS, LABEL_MASK):
+        rd.fail(f"unknown label kind {kind}", rd.off - 1)
+    if 0 in (h, w, c):
+        rd.fail(f"empty image shape {h}x{w}x{c}")
+    # samples are fixed-size records (image, then label or mask), so the
+    # whole block is one structured array; its size is checked before the
+    # record type is built
+    record = 4 * h * w * c + (2 if kind == LABEL_CLASS else h * w if kind == LABEL_MASK else 0)
+    start = rd.take(n * record, f"{n} samples of {record} bytes")
+    fields = [("image", "<f4", (h, w, c))]
+    if kind == LABEL_CLASS:
+        fields.append(("label", "<u2"))
+    elif kind == LABEL_MASK:
+        fields.append(("mask", "u1", (h, w)))
+    samples = np.frombuffer(rd.raw, dtype=np.dtype(fields), count=n, offset=start)
+    rd.finish("sample data")
+    # copies: the arrays own their memory and stay writable
+    images = np.array(samples["image"], dtype=np.float32, order="C")
+    labels = samples["label"].astype(np.int64) if kind == LABEL_CLASS else None
+    masks = np.array(samples["mask"], order="C") if kind == LABEL_MASK else None
     return LoadedDataset(modality_id, images, labels, masks)

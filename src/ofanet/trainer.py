@@ -7,7 +7,9 @@ modality per epoch is dropped, keeping the per-epoch step count exact.
 
 Every source of randomness (data, shuffles, masks, init) is a derived
 counter seed, so identical config+seed reproduces the loss log and the
-checkpoints bit for bit regardless of OFA_THREADS.
+checkpoints bit for bit regardless of OFA_THREADS. A step whose loss is
+not finite stops the run with a FloatingPointError naming the step and the
+modality.
 """
 
 from __future__ import annotations
@@ -208,6 +210,12 @@ def _train_step(
     keys = [derive_seed("mask", config.seed, global_step, slot) for slot in range(images.shape[0])]
     total = mim_forward_batch(net, images, modality, config.mask_ratio, keys)
     ndt.backward(total)
+    loss = total.item()
+    if not math.isfinite(loss):
+        # stop before the optimizer spreads NaN/Inf into every parameter
+        raise FloatingPointError(
+            f"non-finite loss {loss} at global step {global_step} (modality {modality})"
+        )
 
     touched = {
         name: t for name, t in named_parameters(net) if t.grad is not None
@@ -216,4 +224,4 @@ def _train_step(
     grads = {name: t.grad for name, t in touched.items()}
     updated = optimizer_step(params, grads, state, lr, config.weight_decay)
     rebind_parameters(net, updated, require_all=False)
-    return total.item()
+    return loss

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofanet import checkpoint as ckpt
 from ofanet import model as m
@@ -56,6 +60,14 @@ def test_patchify_layout_channel_fastest():
     rows = m.patchify(img, 2)
     # single patch, flattened row-major over (dy, dx), channel fastest
     np.testing.assert_array_equal(rows[0], img.reshape(-1))
+
+
+def test_patchify_batch_equals_stacked_images():
+    rng = np.random.default_rng(31)
+    imgs = rng.normal(size=(3, 8, 12, 5)).astype(np.float32)
+    batched = m.patchify(imgs, 4)
+    assert batched.flags.c_contiguous
+    np.testing.assert_array_equal(batched, np.stack([m.patchify(im, 4) for im in imgs]))
 
 
 def test_patchify_rejects_indivisible():
@@ -499,3 +511,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ValueError, match="OFAC"):
         ckpt.read_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A valid OFAC file's bytes, and a directory for cut copies of it."""
+    where = tmp_path_factory.mktemp("ckpt")
+    tensors = [
+        ("embedder.x.weight", np.arange(6, dtype=np.float32).reshape(2, 3)),
+        ("scalar", np.float32(0.5)),
+        ("decoder.x.bias", np.ones(4, dtype=np.float32)),
+    ]
+    ckpt.write_checkpoint(where / "full.ofac", "[train]\nseed = 1  # \u00e9\n", tensors)
+    return (where / "full.ofac").read_bytes(), where
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_checkpoint_truncated_anywhere_names_path_and_offset(small_checkpoint, data):
+    full, where = small_checkpoint
+    cut = data.draw(st.integers(0, len(full) - 1), label="cut")
+    path = where / "cut.ofac"
+    path.write_bytes(full[:cut])
+    with pytest.raises(ValueError, match=re.escape(str(path)) + r": truncated OFAC file: .* at byte offset \d+$"):
+        ckpt.read_checkpoint(path)

@@ -214,6 +214,45 @@ def test_gather_rows_out_of_range():
         ndt.gather_rows(x, [3])
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.integers(1, 4),
+    n=st.integers(1, 9),
+    d=st.integers(1, 5),
+    data=st.data(),
+)
+def test_gather_rows_batch_distinct_rows_match_reference(b, n, d, data):
+    # distinct indices per row (a permutation prefix, as MIM masks are) take
+    # the scatter-by-assignment backward; it must equal the scatter-add
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x0 = rng.normal(size=(b, n, d)).astype(np.float32)
+    g0 = rng.normal(size=(b, k, d)).astype(np.float32)
+    idx = np.stack([rng.permutation(n)[:k] for _ in range(b)])
+    x = Tensor(x0, requires_grad=True)
+    out = ndt.gather_rows_batch(x, idx)
+    np.testing.assert_array_equal(out.data, np.take_along_axis(x0, idx[:, :, None], axis=1))
+    ndt.backward(ndt.tsum(ndt.mul(out, Tensor(g0))))
+    expected = np.zeros_like(x0)
+    np.add.at(expected, (np.arange(b)[:, None], idx), g0)
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_stacked_matmul_computes_no_gradient_for_constant_input():
+    rng = np.random.default_rng(29)
+    a0 = rng.normal(size=(2, 5, 3)).astype(np.float32)
+    w0 = rng.normal(size=(3, 4)).astype(np.float32)
+    g0 = rng.normal(size=(2, 5, 4)).astype(np.float32)
+    a = Tensor(a0)
+    w = Tensor(w0, requires_grad=True)
+    out = ndt.matmul(a, w)
+    ga, _ = ndt.active_tape()._nodes[-1].grad_fn(g0)
+    assert ga is None
+    ndt.backward(ndt.tsum(ndt.mul(out, Tensor(g0))))
+    assert a.grad is None
+    np.testing.assert_array_equal(w.grad, a0.reshape(-1, 3).T @ g0.reshape(-1, 4))
+
+
 def test_concat_backward_splits():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.ones((3, 2)), requires_grad=True)

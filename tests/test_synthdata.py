@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofanet import synthdata as sd
 from ofanet.modalities import builtin_modalities, default_registry
@@ -215,3 +219,54 @@ def test_ofad_rejects_garbage(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="OFAD"):
         sd.load_dataset(bad)
+
+
+@pytest.fixture(scope="module")
+def small_ofad_files(tmp_path_factory):
+    """Valid OFAD bytes per label kind, and a directory for cut copies."""
+    where = tmp_path_factory.mktemp("ofad")
+    sets = {
+        "pretrain": sd.gen_pretrain_stream(S1, 1, 3, size=8),
+        "cls": sd.gen_cls_dataset(S1, 3, 2, 1, size=8),
+        "seg": sd.gen_seg_dataset(S1, 3, 2, 1, size=8),
+    }
+    full = {}
+    for kind, samples in sets.items():
+        sd.save_dataset(where / f"{kind}.ofad", sd.stack_samples("sentinel1", samples))
+        full[kind] = (where / f"{kind}.ofad").read_bytes()
+    return full, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["pretrain", "cls", "seg"]), data=st.data())
+def test_ofad_truncated_anywhere_names_path_and_offset(small_ofad_files, kind, data):
+    full, where = small_ofad_files
+    raw = full[kind]
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    path = where / "cut.ofad"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match=re.escape(str(path)) + r": truncated OFAD file: .* at byte offset \d+$"):
+        sd.load_dataset(path)
+
+
+# magic, version, id length, "sentinel1", then u32 n and u16 h, w, c before the kind byte
+_H_AT = 4 + 2 + 4 + len("sentinel1") + 4
+_KIND_AT = _H_AT + 2 + 2 + 2
+
+
+@pytest.mark.parametrize(
+    "at, value, message",
+    [
+        (_KIND_AT, 7, f"unknown label kind 7 at byte offset {_KIND_AT}"),
+        (_H_AT, 0, f"empty image shape 0x8x2 at byte offset {_KIND_AT + 1}"),
+    ],
+)
+def test_ofad_rejects_corrupt_header(small_ofad_files, at, value, message):
+    full, where = small_ofad_files
+    raw = bytearray(full["pretrain"])
+    assert raw[_KIND_AT] == sd.LABEL_NONE and raw[_H_AT] == 8
+    raw[at] = value
+    path = where / "corrupt.ofad"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        sd.load_dataset(path)

@@ -215,6 +215,18 @@ def test_pretrain_file_backed_roundtrip(tmp_path):
     assert from_files.log_lines == in_memory.log_lines
 
 
+def test_pretrain_stops_on_non_finite_loss(tmp_path):
+    reg = default_registry()
+    for mid in ("sentinel1", "naip"):
+        ds = stack_samples(mid, gen_pretrain_stream(reg.lookup(mid), 11, 32, size=16))
+        if mid == "naip":
+            ds.images[:, 3, 5, 0] = np.nan  # one pixel per image
+        save_dataset(tmp_path / f"pretrain_{mid}.ofad", ds)
+    # round robin: step 0 is sentinel1, step 1 the first naip batch
+    with pytest.raises(FloatingPointError, match=r"non-finite loss nan at global step 1 \(modality naip\)"):
+        pretrain(tiny_config(data_dir=str(tmp_path)))
+
+
 def test_training_never_mixes_modalities_in_one_step():
     result = pretrain(tiny_config())
     for line in result.log_lines:
