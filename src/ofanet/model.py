@@ -2,10 +2,12 @@
 Transformer backbone, per-modality masked-autoencoder decoders.
 
 All modalities meet the same backbone parameters; anything per-modality
-lives strictly in its embedder or decoder. Training runs one graph per
-mini-batch through ``mim_forward_batch``; the single-image helpers
-(``embed``, ``encode``, ``decode``, ``mim_forward``) serve frozen feature
-extraction, which runs off-tape.
+lives strictly in its embedder or decoder. There is one forward path, and it
+is batched: every stage takes [b, ...] arrays, and a single image is a batch
+of 1. ``mim_forward_batch`` composes ``embed_patches``, ``draw_masks``,
+``encode_tokens``, ``decode_tokens`` and ``masked_loss`` into one training
+graph per mini-batch; ``forward_tokens`` and ``forward_features`` reuse the
+embed and encode stages off-tape for frozen feature extraction.
 """
 
 from __future__ import annotations
@@ -173,26 +175,6 @@ class ModalityDecoder:
     head_w: Tensor  # [d_dec, p*p*c]
     head_b: Tensor
     pos: Tensor  # fixed [n, d_dec]
-
-
-@dataclass
-class TokenSequence:
-    tokens: Tensor  # [n, d]
-    grid: tuple[int, int]
-    visible_idx: np.ndarray
-    masked_idx: np.ndarray
-
-    def __post_init__(self):
-        n = self.tokens.shape[0]
-        if self.grid[0] * self.grid[1] != n:
-            raise ValueError(f"grid {self.grid} does not cover {n} tokens")
-        combined = np.concatenate([self.visible_idx, self.masked_idx])
-        if len(combined) != n or len(np.unique(combined)) != n:
-            raise ValueError("visible_idx and masked_idx must partition the token range")
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
 
 
 @dataclass
@@ -366,19 +348,6 @@ def named_parameters(net: OfaNet) -> list[tuple[str, Tensor]]:
     return [(name, getattr(holder, attr)) for name, holder, attr in _param_slots(net)]
 
 
-def set_parameter(net: OfaNet, name: str, tensor: Tensor) -> None:
-    for slot_name, holder, attr in _param_slots(net):
-        if slot_name == name:
-            current = getattr(holder, attr)
-            if current.shape != tensor.shape:
-                raise ValueError(
-                    f"parameter {name} has shape {current.shape}, got {tensor.shape}"
-                )
-            setattr(holder, attr, tensor)
-            return
-    raise KeyError(f"unknown parameter {name!r}")
-
-
 def rebind_parameters(
     net: OfaNet, arrays: dict[str, np.ndarray], require_all: bool = True
 ) -> None:
@@ -474,131 +443,58 @@ def _block_forward(x: Tensor, bp: BlockParams, heads: int) -> Tensor:
     return ndt.add(x, h)
 
 
-def _image_array(image) -> np.ndarray:
-    return image.data if isinstance(image, Tensor) else np.asarray(image)
-
-
-def embed(net: OfaNet, image, modality: str) -> TokenSequence:
-    """Patchify, project with the modality's embedder, add positions."""
+def embed_patches(net: OfaNet, images, modality: str) -> tuple[np.ndarray, Tensor]:
+    """Patchify [b, h, w, c] images, project with the modality's embedder, add
+    positions: (patches [b, n, p*p*c], tokens [b, n, d])."""
     if modality not in net.embedders:
         raise KeyError(f"no embedder for modality {modality!r}; have {net.modalities}")
     emb = net.embedders[modality]
-    arr = _image_array(image)
-    if arr.ndim != 3 or arr.shape[2] != emb.channels:
+    arr = np.asarray(images)
+    if arr.ndim != 4 or arr.shape[3] != emb.channels:
         raise ValueError(
-            f"{modality} expects [h, w, {emb.channels}] input, got shape {arr.shape}"
+            f"{modality} expects [b, h, w, {emb.channels}] input, got shape {arr.shape}"
         )
-    if arr.shape[0] != net.dims.input_size or arr.shape[1] != net.dims.input_size:
+    if arr.shape[1] != net.dims.input_size or arr.shape[2] != net.dims.input_size:
         raise ValueError(
-            f"input must be resized to {net.dims.input_size}px first, got {arr.shape[:2]}"
+            f"input must be resized to {net.dims.input_size}px first, got {arr.shape[1:3]}"
         )
-    patches = Tensor(patchify(arr, emb.patch_size))
-    tokens = ndt.add(ndt.add(ndt.matmul(patches, emb.weight), emb.bias), net.backbone.pos)
-    n = tokens.shape[0]
-    return TokenSequence(
-        tokens=tokens,
-        grid=net.dims.grid,
-        visible_idx=np.arange(n, dtype=np.intp),
-        masked_idx=np.array([], dtype=np.intp),
-    )
+    patches = patchify(arr, emb.patch_size)
+    tokens = ndt.add(ndt.add(ndt.matmul(Tensor(patches), emb.weight), emb.bias), net.backbone.pos)
+    return patches, tokens
 
 
-def random_mask(seq: TokenSequence, ratio: float, rng_key: int) -> TokenSequence:
-    """Uniform random split: round(ratio*n) masked, the rest visible."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"mask ratio must be in (0, 1), got {ratio}")
-    n = seq.n_tokens
+def draw_masks(n: int, ratio: float, rng_keys) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform random split of n tokens per key: (masked [b, m], visible
+    [b, n - m]) with m = round(ratio * n); the same key gives the same split."""
     m = int(round(ratio * n))
-    if m == 0 or m == n:
-        raise ValueError(f"mask ratio {ratio} leaves {'no masked' if m == 0 else 'no visible'} tokens for n={n}")
-    perm = np.random.Generator(np.random.PCG64(rng_key)).permutation(n).astype(np.intp)
-    return TokenSequence(
-        tokens=seq.tokens, grid=seq.grid, visible_idx=perm[m:], masked_idx=perm[:m]
-    )
+    if not 0.0 < ratio < 1.0 or m == 0 or m == n:
+        raise ValueError(f"mask ratio {ratio} degenerate for n={n}")
+    perms = np.stack(
+        [np.random.Generator(np.random.PCG64(key)).permutation(n) for key in rng_keys]
+    ).astype(np.intp)
+    return perms[:, :m], perms[:, m:]
 
 
-def encode(net: OfaNet, seq: TokenSequence) -> Tensor:
-    """Shared backbone over the visible tokens only: [n_visible, d]."""
-    x = ndt.gather_rows(seq.tokens, seq.visible_idx)
+def encode_tokens(net: OfaNet, tokens: Tensor, visible: np.ndarray | None = None) -> Tensor:
+    """Shared backbone over the visible rows of [b, n, d] tokens (all rows
+    when visible is None): [b, k, d]."""
+    x = tokens if visible is None else ndt.gather_rows_batch(tokens, visible)
     for bp in net.backbone.blocks:
         x = _block_forward(x, bp, net.backbone.heads)
     return ndt.layernorm(x, net.backbone.norm_g, net.backbone.norm_b)
 
 
-def decode(net: OfaNet, latent: Tensor, seq: TokenSequence, modality: str) -> Tensor:
-    """Full-length reconstruction [n, p*p*c] from visible latents."""
+def decode_tokens(
+    net: OfaNet, latent: Tensor, masked: np.ndarray, visible: np.ndarray, modality: str
+) -> Tensor:
+    """Full-length reconstruction [b, n, p*p*c] from visible latents [b, k, d]:
+    mask tokens fill the masked rows, then every row is put back in place."""
     if modality not in net.decoders:
         raise KeyError(f"no decoder for modality {modality!r}; have {sorted(net.decoders)}")
     dec = net.decoders[modality]
+    b, m = masked.shape
     dd = dec.mask_token.shape[0]
-    lat = ndt.add(ndt.matmul(latent, dec.proj_w), dec.proj_b)
-    n_masked = len(seq.masked_idx)
-    tile = ndt.add(Tensor(np.zeros((n_masked, dd))), ndt.reshape(dec.mask_token, (1, dd)))
-    combined = ndt.concat([lat, tile], axis=0)
-    order = np.concatenate([seq.visible_idx, seq.masked_idx])
-    restore = np.argsort(order).astype(np.intp)
-    x = ndt.add(ndt.gather_rows(combined, restore), dec.pos)
-    for bp in dec.blocks:
-        x = _block_forward(x, bp, net.backbone.heads)
-    x = ndt.layernorm(x, dec.norm_g, dec.norm_b)
-    return ndt.add(ndt.matmul(x, dec.head_w), dec.head_b)
-
-
-def mim_loss(pred: Tensor, target_patches, masked_idx) -> Tensor:
-    """MSE over masked patch rows only; visible rows contribute exactly zero."""
-    masked_idx = np.asarray(masked_idx, dtype=np.intp)
-    if masked_idx.size == 0:
-        raise ValueError("mim_loss needs at least one masked row")
-    target = target_patches if isinstance(target_patches, Tensor) else Tensor(target_patches)
-    if pred.shape != target.shape:
-        raise ValueError(f"pred shape {pred.shape} != target shape {target.shape}")
-    pred_rows = ndt.gather_rows(pred, masked_idx)
-    target_rows = Tensor(target.data[masked_idx])
-    return ndt.mse(pred_rows, target_rows)
-
-
-def mim_forward(net: OfaNet, image, modality: str, ratio: float, rng_key: int) -> Tensor:
-    """One masked-reconstruction pass; returns the scalar loss."""
-    seq = random_mask(embed(net, image, modality), ratio, rng_key)
-    latent = encode(net, seq)
-    pred = decode(net, latent, seq, modality)
-    target = patchify(_image_array(image), net.dims.patch_size)
-    return mim_loss(pred, target, seq.masked_idx)
-
-
-def mim_forward_batch(net: OfaNet, images: np.ndarray, modality: str, ratio: float, rng_keys) -> Tensor:
-    """Stacked equivalent of averaging mim_forward over a mini-batch.
-
-    images [b, h, w, c]; rng_keys gives one mask key per sample and draws the
-    same splits the per-sample path would. One graph instead of b graphs.
-    """
-    if modality not in net.embedders:
-        raise KeyError(f"no embedder for modality {modality!r}; have {net.modalities}")
-    emb = net.embedders[modality]
-    dec = net.decoders[modality]
-    b = images.shape[0]
-    if len(rng_keys) != b:
-        raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {b}")
-    p = net.dims.patch_size
-    n = net.dims.tokens
-    m = int(round(ratio * n))
-    if not 0.0 < ratio < 1.0 or m == 0 or m == n:
-        raise ValueError(f"mask ratio {ratio} degenerate for n={n}")
-
-    targets = patchify(images, p)  # [b, n, ppc]
-    perms = np.stack(
-        [np.random.Generator(np.random.PCG64(key)).permutation(n) for key in rng_keys]
-    ).astype(np.intp)
-    masked, visible = perms[:, :m], perms[:, m:]
     restore = np.argsort(np.concatenate([visible, masked], axis=1), axis=1).astype(np.intp)
-
-    tokens = ndt.add(ndt.add(ndt.matmul(Tensor(targets), emb.weight), emb.bias), net.backbone.pos)
-    x = ndt.gather_rows_batch(tokens, visible)
-    for bp in net.backbone.blocks:
-        x = _block_forward(x, bp, net.backbone.heads)
-    latent = ndt.layernorm(x, net.backbone.norm_g, net.backbone.norm_b)
-
-    dd = dec.mask_token.shape[0]
     lat = ndt.add(ndt.matmul(latent, dec.proj_w), dec.proj_b)
     tile = ndt.add(Tensor(np.zeros((b, m, dd))), ndt.reshape(dec.mask_token, (1, 1, dd)))
     full = ndt.gather_rows_batch(ndt.concat([lat, tile], axis=1), restore)
@@ -606,21 +502,44 @@ def mim_forward_batch(net: OfaNet, images: np.ndarray, modality: str, ratio: flo
     for bp in dec.blocks:
         x = _block_forward(x, bp, net.backbone.heads)
     x = ndt.layernorm(x, dec.norm_g, dec.norm_b)
-    pred = ndt.add(ndt.matmul(x, dec.head_w), dec.head_b)  # [b, n, ppc]
-
-    pred_rows = ndt.gather_rows_batch(pred, masked)
-    target_rows = targets[np.arange(b)[:, None], masked]
-    return ndt.mse(pred_rows, Tensor(target_rows))
+    return ndt.add(ndt.matmul(x, dec.head_w), dec.head_b)
 
 
-def forward_tokens(net: OfaNet, image, modality: str) -> Tensor:
-    """Frozen per-token features [n, d]; decoders unused, nothing on tape."""
+def masked_loss(pred: Tensor, targets: np.ndarray, masked: np.ndarray) -> Tensor:
+    """MSE over the masked rows of [b, n, p*p*c] only; visible rows get
+    exactly zero gradient."""
+    masked = np.asarray(masked, dtype=np.intp)
+    if masked.ndim != 2 or masked.shape[1] == 0:
+        raise ValueError(f"masked loss needs [b, m] masked rows with m >= 1, got shape {masked.shape}")
+    if pred.shape != targets.shape:
+        raise ValueError(f"pred shape {pred.shape} != target shape {targets.shape}")
+    target_rows = targets[np.arange(masked.shape[0])[:, None], masked]
+    return ndt.mse(ndt.gather_rows_batch(pred, masked), Tensor(target_rows))
+
+
+def mim_forward_batch(net: OfaNet, images: np.ndarray, modality: str, ratio: float, rng_keys) -> Tensor:
+    """Mean masked-reconstruction loss of a mini-batch as one graph.
+
+    images [b, h, w, c]; rng_keys gives one mask key per sample, so sample i
+    draws the same split in any batch. A single image is a batch of 1.
+    """
+    if len(rng_keys) != len(images):
+        raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {len(images)}")
+    targets, tokens = embed_patches(net, images, modality)
+    masked, visible = draw_masks(net.dims.tokens, ratio, rng_keys)
+    latent = encode_tokens(net, tokens, visible)
+    pred = decode_tokens(net, latent, masked, visible, modality)
+    return masked_loss(pred, targets, masked)
+
+
+def forward_tokens(net: OfaNet, images, modality: str) -> Tensor:
+    """Frozen per-token features [b, n, d] of [b, h, w, c] images; decoders
+    unused, nothing on tape."""
     with ndt.no_grad():
-        seq = embed(net, image, modality)
-        return encode(net, seq)
+        return encode_tokens(net, embed_patches(net, images, modality)[1])
 
 
-def forward_features(net: OfaNet, image, modality: str) -> Tensor:
-    """Frozen pooled features [d]: token features averaged over positions."""
+def forward_features(net: OfaNet, images, modality: str) -> Tensor:
+    """Frozen pooled features [b, d]: token features averaged over positions."""
     with ndt.no_grad():
-        return ndt.tmean(forward_tokens(net, image, modality), axis=0)
+        return ndt.tmean(forward_tokens(net, images, modality), axis=1)

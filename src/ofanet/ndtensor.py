@@ -12,6 +12,7 @@ Ops never mutate their inputs. Outputs are fresh contiguous arrays. Every
 op whose result requires grad is recorded on a module-level tape; calling
 ``backward(loss)`` walks the tape once in reverse, populates ``.grad`` on
 every participating tensor that requires grad, and clears the tape.
+``no_grad`` switches recording off for the calling thread only.
 
 Training runs in float32, except that ``mse`` accumulates and returns its
 scalar loss in float64 (its gradient is in the prediction's dtype).
@@ -22,13 +23,13 @@ Gradient-check tests switch the whole kernel to float64 through
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
-_GRAD_ENABLED = True
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -57,16 +58,25 @@ def dtype_mode(name: str | np.dtype) -> Iterator[None]:
         set_default_dtype(prev)
 
 
+class _GradMode(threading.local):
+    # per thread: probe workers run no_grad blocks concurrently, and a shared
+    # flag saved and restored by overlapping blocks can end up left off
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Disable tape recording; results inside report requires_grad=False."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording in the calling thread; results inside report
+    requires_grad=False."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_MODE.enabled = prev
 
 
 class Tensor:
@@ -147,31 +157,16 @@ class _Node:
         self.grad_fn = grad_fn
 
 
-class Tape:
-    """Ordered record of executed ops; inputs always precede their outputs."""
-
-    def __init__(self):
-        self._nodes: list[_Node] = []
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def append(self, node: _Node) -> None:
-        self._nodes.append(node)
-
-    def clear(self) -> None:
-        self._nodes.clear()
+# Ordered record of executed ops; inputs always precede their outputs.
+_TAPE: list[_Node] = []
 
 
-_TAPE = Tape()
-
-
-def active_tape() -> Tape:
+def active_tape() -> list[_Node]:
     return _TAPE
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    req = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
     data = np.asarray(data)
     out = Tensor.__new__(Tensor)
     out.data = data if data.flags.c_contiguous else np.ascontiguousarray(data)
@@ -306,31 +301,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows (axis 0) by index list; backward scatter-adds into place."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError(f"gather_rows index must be 1-D, got shape {idx.shape}")
-    n = a.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"gather_rows index out of range for {n} rows")
-    ash = a.shape
-
-    def grad_fn(g):
-        ga = np.zeros(ash, dtype=g.dtype)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _result(a.data[idx], (a,), grad_fn)
-
-
 def gather_rows_batch(a: Tensor, idx) -> Tensor:
     """Per-sample row gather: a [b, n, d], idx [b, k] -> [b, k, d].
 
     One index list per batch row. When each row's indices are distinct (the
     mask permutations of MIM), the backward scatters the gradient back by
-    plain assignment; otherwise it scatter-adds like gather_rows, so a
-    repeated index collects every gradient that reached it.
+    plain assignment; otherwise it scatter-adds, so a repeated index
+    collects every gradient that reached it.
     """
     idx = np.asarray(idx, dtype=np.intp)
     if a.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
@@ -491,7 +468,7 @@ def backward(loss: Tensor) -> None:
         raise TypeError("backward expects a Tensor")
     if loss.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    nodes = _TAPE._nodes
+    nodes = _TAPE
     if not any(node.out is loss for node in nodes):
         raise ValueError("loss is not on the active tape")
 

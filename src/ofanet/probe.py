@@ -1,11 +1,11 @@
 """Linear probing of frozen features: classification and segmentation heads,
 their metrics, and cross-run comparison tables.
 
-The backbone is never trained here. Features are extracted once (pooled for
-classification, per token for segmentation), cached as plain arrays, and a
-linear head is fit with SGD + momentum on top. Labeled sets are split
-80/20 by index into head-train and eval halves; reported metrics come from
-the eval half.
+The backbone is never trained here. Features are extracted once, in small
+batches on the model's one forward path (pooled for classification, per
+token for segmentation), cached as plain arrays, and a linear head is fit
+with SGD + momentum on top. Labeled sets are split 80/20 by index into
+head-train and eval halves; reported metrics come from the eval half.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .synthdata import LoadedDataset, resize_nearest
 
 MOMENTUM = 0.9
 EVAL_FRACTION = 0.2
+# Images per feature graph. Small on purpose: a whole-set batch makes
+# temporaries of several MB, which the allocator hands back to the kernel on
+# free, so every new one faults its pages in again and runs slower.
+FEATURE_CHUNK = 8
 
 
 @dataclass
@@ -93,17 +97,17 @@ def mean_iou(pred_mask, gt_mask, k: int) -> float:
 
 
 def extract_features(net: OfaNet, images: np.ndarray, modality: str, per_token: bool = False) -> np.ndarray:
-    """[n, d] pooled (or [n, tokens, d] per-token) frozen features."""
+    """[n, d] pooled (or [n, tokens, d] per-token) frozen features, computed
+    on the training forward path in chunks of FEATURE_CHUNK images."""
     size = net.dims.input_size
+    if images.shape[1] != size or images.shape[2] != size:
+        images = np.stack([resize_nearest(img, size) for img in images])
     fwd = forward_tokens if per_token else forward_features
 
-    def one(i: int) -> np.ndarray:
-        img = images[i]
-        if img.shape[0] != size or img.shape[1] != size:
-            img = resize_nearest(img, size)
-        return fwd(net, img, modality).data
+    def chunk(lo: int) -> np.ndarray:
+        return fwd(net, images[lo : lo + FEATURE_CHUNK], modality).data
 
-    return np.stack(parallel_map(one, range(images.shape[0])))
+    return np.concatenate(parallel_map(chunk, range(0, images.shape[0], FEATURE_CHUNK)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +214,6 @@ def predict_seg(head: LinearHead, token_features: np.ndarray, grid: tuple[int, i
     logits = token_features.reshape(n * tokens, d) @ head.weight + head.bias
     token_pred = logits.argmax(axis=1).reshape(n, gh, gw)
     return token_pred.repeat(patch, axis=1).repeat(patch, axis=2)
-
-
-def upsample_tokens(token_values: np.ndarray, grid: tuple[int, int], patch: int) -> np.ndarray:
-    """[tokens] -> [h, w] by nearest-neighbor block broadcast."""
-    gh, gw = grid
-    return token_values.reshape(gh, gw).repeat(patch, axis=0).repeat(patch, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _op_cases(rng):
          lambda x: ndt.tsum(ndt.mul(ndt.reshape(ndt.permute(ndt.neg(x), (2, 0, 1)), (12, 2)),
                                     Tensor(np.arange(24, dtype=np.float64).reshape(12, 2) / 10))))
     case("transpose", w53, lambda x: ndt.tsum(ndt.mul(ndt.transpose(x), Tensor(w53.T + 0.5))))
-    case("gather_rows", w53, lambda x: ndt.tsum(ndt.gather_rows(x, idx)))
+    case("gather_rows", w53[None], lambda x: ndt.tsum(ndt.gather_rows_batch(x, idx[None])))
     case("gather_rows_batch", rng.normal(size=(2, 4, 3)),
          lambda x: ndt.tsum(ndt.gather_rows_batch(x, bidx)))
     case("concat", w53, lambda x: ndt.tsum(ndt.mul(ndt.concat([x, Tensor(w53 * 2)]), 0.3)))
@@ -194,7 +194,7 @@ def test_criterion_weight_sharing(random_net):
     reference = m.backbone_hash(net)
     hashes = set()
     for spec in builtin_modalities():
-        img = sd.gen_pretrain_sample(spec, 91, 0, size=DESK.input_size).image
+        img = sd.gen_pretrain_sample(spec, 91, 0, size=DESK.input_size).image[None]
         m.forward_features(net, img, spec.id)
         hashes.add(m.backbone_hash(net))
     shared = hashes == {reference}
@@ -221,28 +221,18 @@ def test_criterion_weight_sharing(random_net):
 
 def test_criterion_masking_contract():
     n = DESK.model_dims().tokens
-    seq = m.TokenSequence(
-        tokens=Tensor(np.zeros((n, 8), dtype=np.float32)),
-        grid=DESK.model_dims().grid,
-        visible_idx=np.arange(n, dtype=np.intp),
-        masked_idx=np.array([], dtype=np.intp),
-    )
-    counts_ok = True
-    hits = np.zeros(n)
     draws = 10_000
-    for i in range(draws):
-        masked = m.random_mask(seq, 0.75, rng_key=derive_seed("mc", i))
-        counts_ok = counts_ok and len(masked.masked_idx) == round(0.75 * n)
-        hits[masked.masked_idx] += 1
-    freq = hits / draws
+    masked, _ = m.draw_masks(n, 0.75, [derive_seed("mc", i) for i in range(draws)])
+    counts_ok = masked.shape == (draws, round(0.75 * n))
+    freq = np.bincount(masked.ravel(), minlength=n) / draws
     freq_ok = freq.min() >= 0.73 and freq.max() <= 0.77
 
-    target = np.random.default_rng(5).normal(size=(n, 48)).astype(np.float32)
-    pred = Tensor(np.zeros((n, 48), dtype=np.float32), requires_grad=True)
-    masked_idx = m.random_mask(seq, 0.75, rng_key=1).masked_idx
-    ndt.backward(m.mim_loss(pred, target, masked_idx))
-    visible = np.setdiff1d(np.arange(n), masked_idx)
-    grad_ok = bool(np.all(pred.grad[visible] == 0.0) and np.any(pred.grad[masked_idx] != 0.0))
+    target = np.random.default_rng(5).normal(size=(1, n, 48)).astype(np.float32)
+    pred = Tensor(np.zeros((1, n, 48), dtype=np.float32), requires_grad=True)
+    masked_idx, _ = m.draw_masks(n, 0.75, [1])
+    ndt.backward(m.masked_loss(pred, target, masked_idx))
+    visible = np.setdiff1d(np.arange(n), masked_idx[0])
+    grad_ok = bool(np.all(pred.grad[0, visible] == 0.0) and np.any(pred.grad[0, masked_idx[0]] != 0.0))
 
     _criterion(
         "masking contract",

@@ -81,15 +81,16 @@ def test_patchify_rejects_indivisible():
 
 def test_embed_shape_contract():
     net = build_net()
-    seq = m.embed(net, gen_pretrain_sample(REG.lookup("sentinel1"), 1, 0).image, "sentinel1")
-    assert seq.tokens.shape == (64, 64)
-    assert seq.grid == (8, 8)
+    img = gen_pretrain_sample(REG.lookup("sentinel1"), 1, 0).image
+    _, tokens = m.embed_patches(net, img[None], "sentinel1")
+    assert tokens.shape == (1, 64, 64)
+    assert net.dims.grid == (8, 8)
 
 
 def test_embed_zero_image_equals_positional_table():
     net = build_net()
-    seq = m.embed(net, np.zeros((32, 32, 2), dtype=np.float32), "sentinel1")
-    np.testing.assert_array_equal(seq.tokens.data, net.backbone.pos.data)
+    _, tokens = m.embed_patches(net, np.zeros((1, 32, 32, 2), dtype=np.float32), "sentinel1")
+    np.testing.assert_array_equal(tokens.data[0], net.backbone.pos.data)
 
 
 def test_enmap_embedder_weight_shape_forced_by_channels():
@@ -111,86 +112,80 @@ def test_wide_reconstruction_head_keeps_backward_gain_order_one():
 def test_embed_unknown_modality():
     net = build_net()
     with pytest.raises(KeyError, match="gaofen"):
-        m.embed(net, np.zeros((32, 32, 4), dtype=np.float32), "gaofen")
+        m.embed_patches(net, np.zeros((1, 32, 32, 4), dtype=np.float32), "gaofen")
 
 
 def test_embed_channel_mismatch():
     net = build_net()
     with pytest.raises(ValueError, match="2"):
-        m.embed(net, np.zeros((32, 32, 3), dtype=np.float32), "sentinel1")
+        m.embed_patches(net, np.zeros((1, 32, 32, 3), dtype=np.float32), "sentinel1")
 
 
 def test_embed_requires_resized_input():
     net = build_net()
     with pytest.raises(ValueError, match="resized"):
-        m.embed(net, np.zeros((64, 64, 2), dtype=np.float32), "sentinel1")
+        m.embed_patches(net, np.zeros((1, 64, 64, 2), dtype=np.float32), "sentinel1")
 
 
 # ---------------------------------------------------------------------------
 # masking
 
 
-def _blank_seq(n, grid, d=8):
-    return m.TokenSequence(
-        tokens=Tensor(np.zeros((n, d), dtype=np.float32)),
-        grid=grid,
-        visible_idx=np.arange(n, dtype=np.intp),
-        masked_idx=np.array([], dtype=np.intp),
-    )
-
-
 def test_random_mask_counts_196():
-    masked = m.random_mask(_blank_seq(196, (14, 14)), 0.75, rng_key=1)
-    assert len(masked.masked_idx) == 147
-    assert len(masked.visible_idx) == 49
+    masked, visible = m.draw_masks(196, 0.75, [1])
+    assert len(masked[0]) == 147
+    assert len(visible[0]) == 49
 
 
 def test_random_mask_counts_64():
-    masked = m.random_mask(_blank_seq(64, (8, 8)), 0.75, rng_key=1)
-    assert len(masked.masked_idx) == 48
-    assert len(masked.visible_idx) == 16
+    masked, visible = m.draw_masks(64, 0.75, [1])
+    assert len(masked[0]) == 48
+    assert len(visible[0]) == 16
 
 
 def test_random_mask_deterministic_and_disjoint():
-    a = m.random_mask(_blank_seq(64, (8, 8)), 0.75, rng_key=9)
-    b = m.random_mask(_blank_seq(64, (8, 8)), 0.75, rng_key=9)
-    np.testing.assert_array_equal(a.masked_idx, b.masked_idx)
-    assert set(a.masked_idx) | set(a.visible_idx) == set(range(64))
-    assert not set(a.masked_idx) & set(a.visible_idx)
+    a_masked, a_visible = m.draw_masks(64, 0.75, [9])
+    b_masked, _ = m.draw_masks(64, 0.75, [9])
+    np.testing.assert_array_equal(a_masked, b_masked)
+    assert set(a_masked[0]) | set(a_visible[0]) == set(range(64))
+    assert not set(a_masked[0]) & set(a_visible[0])
 
 
 def test_random_mask_positionwise_frequency():
     n, draws = 64, 10_000
-    hits = np.zeros(n)
-    seq = _blank_seq(n, (8, 8))
-    for i in range(draws):
-        hits[m.random_mask(seq, 0.75, rng_key=derive_seed("freq", i)).masked_idx] += 1
-    freq = hits / draws
+    masked, _ = m.draw_masks(n, 0.75, [derive_seed("freq", i) for i in range(draws)])
+    freq = np.bincount(masked.ravel(), minlength=n) / draws
     assert freq.min() >= 0.73
     assert freq.max() <= 0.77
 
 
 def test_random_mask_degenerate_ratios():
-    seq = _blank_seq(4, (2, 2))
     with pytest.raises(ValueError):
-        m.random_mask(seq, 0.01, rng_key=1)  # rounds to zero masked
+        m.draw_masks(4, 0.01, [1])  # rounds to zero masked
     with pytest.raises(ValueError):
-        m.random_mask(seq, 0.99, rng_key=1)  # rounds to zero visible
+        m.draw_masks(4, 0.99, [1])  # rounds to zero visible
     with pytest.raises(ValueError):
-        m.random_mask(seq, 1.5, rng_key=1)
+        m.draw_masks(4, 1.5, [1])
 
 
 # ---------------------------------------------------------------------------
 # encode / decode
 
 
+def _masked_tokens(net, img, modality, key):
+    """(tokens, masked, visible) for one image as a batch of 1."""
+    _, tokens = m.embed_patches(net, img[None], modality)
+    masked, visible = m.draw_masks(net.dims.tokens, 0.75, [key])
+    return tokens, masked, visible
+
+
 def test_encode_shape_and_determinism():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 2, 0).image
-    seq = m.random_mask(m.embed(net, img, "sentinel1"), 0.75, rng_key=5)
-    out1 = m.encode(net, seq)
-    out2 = m.encode(net, seq)
-    assert out1.shape == (16, 64)
+    tokens, _, visible = _masked_tokens(net, img, "sentinel1", 5)
+    out1 = m.encode_tokens(net, tokens, visible)
+    out2 = m.encode_tokens(net, tokens, visible)
+    assert out1.shape == (1, 16, 64)
     np.testing.assert_array_equal(out1.data, out2.data)
     ndt.active_tape().clear()
 
@@ -200,27 +195,21 @@ def test_encode_49_visible_tokens_shape():
     dims = desk_dims(input_size=56)
     net = m.build_ofanet(dims, [REG.lookup("sentinel1")], seed=0)
     img = np.random.default_rng(0).normal(size=(56, 56, 2)).astype(np.float32)
-    seq = m.random_mask(m.embed(net, img, "sentinel1"), 0.75, rng_key=3)
-    assert m.encode(net, seq).shape == (49, 64)
+    tokens, _, visible = _masked_tokens(net, img, "sentinel1", 3)
+    assert m.encode_tokens(net, tokens, visible).shape == (1, 49, 64)
     ndt.active_tape().clear()
 
 
 def test_encode_permutation_equivariant():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 3, 1).image
-    seq = m.random_mask(m.embed(net, img, "sentinel1"), 0.75, rng_key=11)
-    out = m.encode(net, seq).data
+    tokens, _, visible = _masked_tokens(net, img, "sentinel1", 11)
+    out = m.encode_tokens(net, tokens, visible).data
 
-    perm = np.random.default_rng(1).permutation(len(seq.visible_idx))
-    shuffled = m.TokenSequence(
-        tokens=seq.tokens,
-        grid=seq.grid,
-        visible_idx=seq.visible_idx[perm],
-        masked_idx=seq.masked_idx,
-    )
-    out_shuffled = m.encode(net, shuffled).data
+    perm = np.random.default_rng(1).permutation(visible.shape[1])
+    out_shuffled = m.encode_tokens(net, tokens, visible[:, perm]).data
     unshuffled = np.empty_like(out_shuffled)
-    unshuffled[perm] = out_shuffled
+    unshuffled[:, perm] = out_shuffled
     np.testing.assert_allclose(unshuffled, out, atol=1e-5)
     ndt.active_tape().clear()
 
@@ -229,23 +218,23 @@ def test_decode_output_shapes():
     for mid, ppc in (("naip", 48), ("enmap", 3584)):
         net = build_net((mid,))
         img = gen_pretrain_sample(REG.lookup(mid), 4, 0).image
-        seq = m.random_mask(m.embed(net, img, mid), 0.75, rng_key=2)
-        pred = m.decode(net, m.encode(net, seq), seq, mid)
-        assert pred.shape == (64, ppc)
+        tokens, masked, visible = _masked_tokens(net, img, mid, 2)
+        pred = m.decode_tokens(net, m.encode_tokens(net, tokens, visible), masked, visible, mid)
+        assert pred.shape == (1, 64, ppc)
         ndt.active_tape().clear()
 
 
 def test_decode_mask_token_ablation():
     net = build_net(("naip",))
     img = gen_pretrain_sample(REG.lookup("naip"), 5, 0).image
-    seq = m.random_mask(m.embed(net, img, "naip"), 0.75, rng_key=7)
-    latent = m.encode(net, seq)
-    pred = m.decode(net, latent, seq, "naip").data.copy()
+    tokens, masked, visible = _masked_tokens(net, img, "naip", 7)
+    latent = m.encode_tokens(net, tokens, visible)
+    pred = m.decode_tokens(net, latent, masked, visible, "naip").data.copy()
 
     dec = net.decoders["naip"]
     dec.mask_token = Tensor(np.zeros_like(dec.mask_token.data), requires_grad=True)
-    pred_zeroed = m.decode(net, latent, seq, "naip").data
-    diff_masked = np.linalg.norm(pred[seq.masked_idx] - pred_zeroed[seq.masked_idx])
+    pred_zeroed = m.decode_tokens(net, latent, masked, visible, "naip").data
+    diff_masked = np.linalg.norm(pred[0, masked[0]] - pred_zeroed[0, masked[0]])
     assert diff_masked > 0
     ndt.active_tape().clear()
 
@@ -253,10 +242,10 @@ def test_decode_mask_token_ablation():
 def test_decode_unknown_modality():
     net = build_net(("naip",))
     img = gen_pretrain_sample(REG.lookup("naip"), 5, 0).image
-    seq = m.random_mask(m.embed(net, img, "naip"), 0.75, rng_key=7)
-    latent = m.encode(net, seq)
+    tokens, masked, visible = _masked_tokens(net, img, "naip", 7)
+    latent = m.encode_tokens(net, tokens, visible)
     with pytest.raises(KeyError, match="sentinel2"):
-        m.decode(net, latent, seq, "sentinel2")
+        m.decode_tokens(net, latent, masked, visible, "sentinel2")
     ndt.active_tape().clear()
 
 
@@ -265,41 +254,42 @@ def test_decode_unknown_modality():
 
 
 def test_mim_loss_perfect_reconstruction():
-    target = np.random.default_rng(1).normal(size=(8, 6)).astype(np.float32)
-    loss = m.mim_loss(Tensor(target.copy()), target, [1, 3, 5])
+    target = np.random.default_rng(1).normal(size=(1, 8, 6)).astype(np.float32)
+    loss = m.masked_loss(Tensor(target.copy()), target, [[1, 3, 5]])
     assert loss.item() == 0.0
 
 
 def test_mim_loss_ignores_visible_rows():
-    target = np.random.default_rng(2).normal(size=(8, 6)).astype(np.float32)
+    target = np.random.default_rng(2).normal(size=(1, 8, 6)).astype(np.float32)
     pred = target.copy()
-    pred[[0, 2, 4, 6, 7]] = 99.0  # garbage on visible rows only
-    loss = m.mim_loss(Tensor(pred), target, [1, 3, 5])
+    pred[0, [0, 2, 4, 6, 7]] = 99.0  # garbage on visible rows only
+    loss = m.masked_loss(Tensor(pred), target, [[1, 3, 5]])
     assert loss.item() == 0.0
 
 
 def test_mim_loss_constant_offset():
-    target = np.random.default_rng(3).normal(size=(8, 6)).astype(np.float32)
-    loss = m.mim_loss(Tensor(target + 1.0), target, [0, 5])
+    target = np.random.default_rng(3).normal(size=(1, 8, 6)).astype(np.float32)
+    loss = m.masked_loss(Tensor(target + 1.0), target, [[0, 5]])
     assert loss.item() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mim_loss_gradient_zero_at_visible_rows():
-    target = np.random.default_rng(4).normal(size=(8, 6)).astype(np.float32)
-    pred = Tensor(np.zeros((8, 6), dtype=np.float32), requires_grad=True)
+    target = np.random.default_rng(4).normal(size=(1, 8, 6)).astype(np.float32)
+    pred = Tensor(np.zeros((1, 8, 6), dtype=np.float32), requires_grad=True)
     masked = np.array([1, 3, 5])
-    ndt.backward(m.mim_loss(pred, target, masked))
+    ndt.backward(m.masked_loss(pred, target, masked[None]))
     visible = np.setdiff1d(np.arange(8), masked)
-    np.testing.assert_array_equal(pred.grad[visible], 0.0)
-    assert np.all(pred.grad[masked] != 0.0)
+    np.testing.assert_array_equal(pred.grad[0, visible], 0.0)
+    assert np.all(pred.grad[0, masked] != 0.0)
 
 
 def test_mim_loss_empty_mask_rejected():
     with pytest.raises(ValueError, match="masked"):
-        m.mim_loss(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), [])
+        m.masked_loss(Tensor(np.zeros((1, 4, 2))), np.zeros((1, 4, 2)), np.zeros((1, 0), dtype=np.intp))
 
 
 def test_mim_forward_batch_matches_per_sample_loop():
+    # a batch of b equals the mean of b batches of 1 with the same mask keys
     net = build_net(("sentinel1",), dims=tiny_dims())
     spec = REG.lookup("sentinel1")
     images = np.stack([gen_pretrain_sample(spec, 21, i, size=16).image for i in range(4)])
@@ -313,7 +303,7 @@ def test_mim_forward_batch_matches_per_sample_loop():
 
     total = None
     for i in range(4):
-        loss = m.mim_forward(net, images[i], "sentinel1", 0.75, keys[i])
+        loss = m.mim_forward_batch(net, images[i : i + 1], "sentinel1", 0.75, keys[i : i + 1])
         total = loss if total is None else ndt.add(total, loss)
     total = ndt.mul(total, 1.0 / 4)
     ndt.backward(total)
@@ -346,12 +336,12 @@ def test_gather_rows_batch_matches_loop():
 
 def test_forward_features_shape_and_pooling_consistency():
     net = build_net()
-    img = gen_pretrain_sample(REG.lookup("sentinel1"), 6, 0).image
+    img = gen_pretrain_sample(REG.lookup("sentinel1"), 6, 0).image[None]
     feats = m.forward_features(net, img, "sentinel1")
     tokens = m.forward_tokens(net, img, "sentinel1")
-    assert feats.shape == (64,)
-    assert tokens.shape == (64, 64)
-    np.testing.assert_allclose(tokens.data.mean(axis=0), feats.data, atol=1e-6)
+    assert feats.shape == (1, 64)
+    assert tokens.shape == (1, 64, 64)
+    np.testing.assert_allclose(tokens.data.mean(axis=1), feats.data, atol=1e-6)
     np.testing.assert_array_equal(
         feats.data, m.forward_features(net, img, "sentinel1").data
     )
@@ -360,7 +350,7 @@ def test_forward_features_shape_and_pooling_consistency():
 
 def test_forward_features_decoder_independent():
     net = build_net()
-    img = gen_pretrain_sample(REG.lookup("sentinel1"), 7, 0).image
+    img = gen_pretrain_sample(REG.lookup("sentinel1"), 7, 0).image[None]
     with_dec = m.forward_features(net, img, "sentinel1").data.copy()
     net.decoders = {}
     np.testing.assert_array_equal(with_dec, m.forward_features(net, img, "sentinel1").data)
@@ -371,7 +361,7 @@ def test_backbone_weight_sharing_across_all_modalities():
     ids_before = [id(t) for n, t in m.named_parameters(net) if n.startswith("backbone.")]
     hash_before = m.backbone_hash(net)
     for spec in builtin_modalities():
-        img = gen_pretrain_sample(spec, 8, 0).image
+        img = gen_pretrain_sample(spec, 8, 0).image[None]
         m.forward_features(net, img, spec.id)
         assert m.backbone_hash(net) == hash_before
     ids_after = [id(t) for n, t in m.named_parameters(net) if n.startswith("backbone.")]
@@ -413,12 +403,12 @@ def test_init_independent_of_modality_order():
         np.testing.assert_array_equal(ta.data, tb.data)
 
 
-def test_set_parameter_and_rebind_validate():
+def test_rebind_parameters_validate():
     net = build_net()
     with pytest.raises(KeyError):
-        m.set_parameter(net, "backbone.block9.attn.wq", Tensor(np.zeros((64, 64))))
+        m.rebind_parameters(net, {"backbone.block9.attn.wq": np.zeros((64, 64))}, require_all=False)
     with pytest.raises(ValueError, match="shape"):
-        m.set_parameter(net, "backbone.block0.attn.wq", Tensor(np.zeros((2, 2))))
+        m.rebind_parameters(net, {"backbone.block0.attn.wq": np.zeros((2, 2))}, require_all=False)
     with pytest.raises(ValueError, match="mismatch"):
         m.rebind_parameters(net, {"backbone.norm.gamma": np.ones(64, dtype=np.float32)})
 
@@ -428,7 +418,8 @@ def test_set_parameter_and_rebind_validate():
 
 
 def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
-    """FD-check mim_loss gradients for every parameter tensor of the tiny net.
+    """FD-check the training loss's gradients for every parameter tensor of
+    the tiny net, through mim_forward_batch on a batch of 1.
 
     sample_entries=None checks every entry; an int checks that many entries
     per tensor (deterministically spread). Returns max relative error seen.
@@ -436,10 +427,10 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
     with ndt.dtype_mode(dtype):
         spec = REG.lookup("sentinel1")
         net = m.build_ofanet(tiny_dims(), [spec], seed=5)
-        img = gen_pretrain_sample(spec, 9, 0, size=16).image
-        mask_key = derive_seed("gradcheck-mask")
+        images = gen_pretrain_sample(spec, 9, 0, size=16).image[None]
+        mask_keys = [derive_seed("gradcheck-mask")]
 
-        loss = m.mim_forward(net, img, "sentinel1", 0.75, mask_key)
+        loss = m.mim_forward_batch(net, images, "sentinel1", 0.75, mask_keys)
         ndt.backward(loss)
         grads = {name: t.grad.copy() for name, t in m.named_parameters(net)}
 
@@ -448,9 +439,9 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
             base = tensor.data.copy()
 
             def loss_at(values, pname=name):
-                m.set_parameter(net, pname, Tensor(values, requires_grad=True))
+                m.rebind_parameters(net, {pname: values}, require_all=False)
                 with ndt.no_grad():
-                    out = m.mim_forward(net, img, "sentinel1", 0.75, mask_key).item()
+                    out = m.mim_forward_batch(net, images, "sentinel1", 0.75, mask_keys).item()
                 return out
 
             flat = base.reshape(-1)
@@ -464,7 +455,7 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
                 up[i] += eps
                 down[i] -= eps
                 fd[j] = (loss_at(up.reshape(base.shape)) - loss_at(down.reshape(base.shape))) / (2 * eps)
-            m.set_parameter(net, name, Tensor(base, requires_grad=True))
+            m.rebind_parameters(net, {name: base}, require_all=False)
             worst = max(worst, rel_err(grads[name].reshape(-1)[idx], fd))
         return worst
 
@@ -494,12 +485,11 @@ def test_checkpoint_load_restores_forward_bitwise(tmp_path):
     cfg = TrainConfig(modalities=("sentinel1", "naip"), seed=7)
     net = m.build_ofanet(cfg.model_dims(), [REG.lookup(x) for x in cfg.modalities], cfg.seed)
     # drift the weights away from init so the test cannot pass by rebuilding
-    for name, t in m.named_parameters(net):
-        m.set_parameter(net, name, Tensor(t.data + 0.01, requires_grad=True))
+    m.rebind_parameters(net, {name: t.data + 0.01 for name, t in m.named_parameters(net)})
     path = tmp_path / "net.ofac"
     ckpt.save_net(path, net, serialize_config(RunConfig(train=cfg)))
 
-    img = gen_pretrain_sample(REG.lookup("naip"), 10, 0).image
+    img = gen_pretrain_sample(REG.lookup("naip"), 10, 0).image[None]
     before = m.forward_features(net, img, "naip").data
     restored, loaded_cfg = ckpt.load_net(path)
     assert loaded_cfg.train.seed == 7

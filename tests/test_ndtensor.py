@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,17 +204,17 @@ def test_gelu_zero_fixed_point():
 
 
 def test_gather_rows_forward_and_scatter_add_backward():
-    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-    out = ndt.gather_rows(x, [0, 0, 2])
-    np.testing.assert_array_equal(out.data[0], out.data[1])
+    x = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
+    out = ndt.gather_rows_batch(x, [[0, 0, 2]])
+    np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
     ndt.backward(ndt.tsum(out))
-    np.testing.assert_array_equal(x.grad, [[2.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3])
+    np.testing.assert_array_equal(x.grad, [[[2.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3]])
 
 
 def test_gather_rows_out_of_range():
-    x = Tensor(np.zeros((3, 2)))
+    x = Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(IndexError):
-        ndt.gather_rows(x, [3])
+        ndt.gather_rows_batch(x, [[3]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,7 +249,7 @@ def test_stacked_matmul_computes_no_gradient_for_constant_input():
     a = Tensor(a0)
     w = Tensor(w0, requires_grad=True)
     out = ndt.matmul(a, w)
-    ga, _ = ndt.active_tape()._nodes[-1].grad_fn(g0)
+    ga, _ = ndt.active_tape()[-1].grad_fn(g0)
     assert ga is None
     ndt.backward(ndt.tsum(ndt.mul(out, Tensor(g0))))
     assert a.grad is None
@@ -337,6 +340,27 @@ def test_no_grad_suppresses_recording():
         y = ndt.mul(x, x)
     assert not y.requires_grad
     assert len(ndt.active_tape()) == 0
+
+
+def test_no_grad_is_per_thread():
+    # overlapping no_grad blocks in worker threads (as in probe extraction)
+    # must not switch recording off or on for any other thread
+    x = Tensor([1.0], requires_grad=True)
+
+    def work(_):
+        with ndt.no_grad():
+            return all(not ndt.mul(x, x).requires_grad for _ in range(50))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            inside_off = list(pool.map(work, range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(inside_off)
+    assert ndt.mul(x, x).requires_grad
+    ndt.active_tape().clear()
 
 
 def test_ops_do_not_mutate_inputs():

@@ -16,10 +16,9 @@ from ofanet.probe import (
     run_seg_probe,
     top1_accuracy,
     train_linear_cls,
-    upsample_tokens,
 )
 from ofanet.runconfig import CLS_TASK, SEG_TASK, ProbeConfig
-from ofanet.synthdata import gen_cls_dataset, gen_seg_dataset, stack_samples
+from ofanet.synthdata import gen_cls_dataset, gen_seg_dataset, resize_nearest, stack_samples
 
 REG = default_registry()
 
@@ -105,7 +104,9 @@ def test_mean_iou_errors():
 
 def test_upsample_token_geometry():
     tokens = np.arange(64)
-    up = upsample_tokens(tokens, (8, 8), 4)
+    # one-hot token features under an identity head predict each token's index
+    head = LinearHead(weight=np.eye(64), bias=np.zeros(64))
+    up = predict_seg(head, np.eye(64)[None], (8, 8), 4)[0]
     assert up.shape == (32, 32)
     for ti in range(8):
         for tj in range(8):
@@ -202,6 +203,40 @@ def test_cached_features_equal_recomputation():
     feats_again = probe.extract_features(net, data.images, "sentinel1")
     head_fresh = train_linear_cls(feats_again, data.labels, cfg)
     np.testing.assert_allclose(head_cached.weight, head_fresh.weight, atol=1e-6)
+
+
+def _stacked_single_image_features(net, images, modality, per_token):
+    """Reference: forward_features/forward_tokens on batches of 1, stacked."""
+    fwd = m.forward_tokens if per_token else m.forward_features
+    return np.concatenate([fwd(net, images[i : i + 1], modality).data for i in range(len(images))])
+
+
+@pytest.mark.parametrize("size", [16, 64])
+@pytest.mark.parametrize("per_token", [False, True])
+def test_batched_features_equal_single_image_features(size, per_token):
+    # 13 images cross a FEATURE_CHUNK boundary; 64 px inputs take the resize path
+    net = small_net()
+    images = stack_samples(
+        "sentinel1", gen_cls_dataset(REG.lookup("sentinel1"), 13, 2, 9, size=size)
+    ).images
+    assert probe.FEATURE_CHUNK < len(images)
+    feats = probe.extract_features(net, images, "sentinel1", per_token=per_token)
+    if size != 16:
+        images = np.stack([resize_nearest(img, 16) for img in images])
+    np.testing.assert_array_equal(feats, _stacked_single_image_features(net, images, "sentinel1", per_token))
+
+
+@pytest.mark.parametrize("per_token", [False, True])
+def test_batched_features_independent_of_thread_count(per_token, monkeypatch):
+    net = small_net()
+    images = stack_samples(
+        "sentinel1", gen_cls_dataset(REG.lookup("sentinel1"), 13, 2, 11, size=16)
+    ).images
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OFA_THREADS", threads)
+        runs.append(probe.extract_features(net, images, "sentinel1", per_token=per_token))
+    np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_probe_resizes_native_inputs():

@@ -185,7 +185,7 @@ def test_pretrain_writes_checkpoints_and_log(tmp_path):
 
     restored, cfg_loaded = ckpt.load_net(result.final_checkpoint)
     assert cfg_loaded.train.modalities == cfg.modalities
-    img = np.zeros((16, 16, 2), dtype=np.float32)
+    img = np.zeros((1, 16, 16, 2), dtype=np.float32)
     np.testing.assert_array_equal(
         m.forward_features(result.net, img, "sentinel1").data,
         m.forward_features(restored, img, "sentinel1").data,
