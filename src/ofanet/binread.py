@@ -1,9 +1,13 @@
-"""Bounds-checked reads for the OFAD and OFAC binary formats.
+"""File I/O: bounds-checked reads for the OFAD and OFAC binary formats, and
+the atomic write every file the program writes goes through.
 
 A reader holds one file's bytes and a cursor. Every read first checks that
 the bytes it needs are there, so a truncated or corrupt file raises a
 ``ValueError`` that names the path and the byte offset, never a raw
 ``struct.error`` or a numpy "buffer is smaller than requested size".
+
+``atomic_write`` writes to a temp file beside the target and renames it into
+place, so a failed write leaves the old file (or no file) and no partial one.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
-from typing import NoReturn
+from typing import BinaryIO, Callable, NoReturn
 
 import numpy as np
 
@@ -63,3 +67,17 @@ class BinaryReader:
     def finish(self, what: str) -> None:
         if self.off != len(self.raw):
             self.fail(f"trailing bytes after {what}")
+
+
+def atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Call ``write`` on a binary temp file, then rename it over ``path``;
+    if anything raises, the temp file is removed and ``path`` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runconfig
-from .binread import BinaryReader
+from .binread import BinaryReader, atomic_write
 from .modalities import ModalityRegistry
 from .model import OfaNet, build_ofanet, named_parameters, rebind_parameters
 
@@ -35,29 +35,25 @@ class Checkpoint:
 
 def write_checkpoint(path: str | Path, config_text: str, tensors) -> None:
     """Write atomically (temp + rename); tensors is an iterable of (name, array)."""
-    path = Path(path)
     items = [(name, np.ascontiguousarray(arr, dtype="<f4")) for name, arr in tensors]
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<H", _VERSION))
-            blob = config_text.encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(items)))
-            for name, arr in items:
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(arr.tobytes())
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def write(fh) -> None:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<H", _VERSION))
+        blob = config_text.encode("utf-8")
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(items)))
+        for name, arr in items:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            for extent in arr.shape:
+                fh.write(struct.pack("<I", extent))
+            fh.write(arr.tobytes())
+
+    atomic_write(path, write)
 
 
 def save_net(path: str | Path, net: OfaNet, config_text: str) -> None:

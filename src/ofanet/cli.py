@@ -1,9 +1,10 @@
 """Command-line surface: generate data, pretrain, probe, inspect, report.
 
 One verb per pipeline stage. Every subcommand is deterministic given its
-config and seed; file writers are atomic (temp + rename), so failures never
-leave partial outputs behind. Exit code 0 on success, 1 with a one-line
-diagnostic on stderr otherwise. OFA_THREADS caps generation parallelism.
+config and seed; every file is written through ``binread.atomic_write``
+(temp + rename), so failures never leave partial outputs behind. Exit code 0
+on success, 1 with a one-line diagnostic on stderr otherwise. OFA_THREADS
+caps generation parallelism.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import probe as probe_mod
 from . import synthdata
+from .binread import atomic_write
 from .model import build_ofanet
 from .modalities import ModalityRegistry
 from .runconfig import (
@@ -110,8 +112,8 @@ def _cmd_probe(args) -> int:
     print(line)
     if args.out:
         out = Path(args.out)
-        existing = out.read_text() if out.exists() else ""
-        out.write_text(existing + line + "\n")
+        text = (out.read_bytes() if out.exists() else b"") + (line + "\n").encode("utf-8")
+        atomic_write(out, lambda fh: fh.write(text))
     return 0
 
 

@@ -8,7 +8,7 @@ for reports; desk-scale runs never materialize the real corpora.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,11 @@ class ModalityRegistry:
         for spec in specs if specs is not None else builtin_modalities():
             self.register(spec)
 
-    def register(self, spec: ModalitySpec) -> "ModalityRegistry":
+    def register(self, spec: ModalitySpec) -> None:
         spec.validate()
         if spec.id in self._specs:
             raise ValueError(f"modality {spec.id!r} already registered")
         self._specs[spec.id] = spec
-        return self
 
     def lookup(self, modality_id: str) -> ModalitySpec:
         try:
@@ -67,22 +66,6 @@ class ModalityRegistry:
                 f"unknown modality {modality_id!r}; registered: {sorted(self._specs)}"
             ) from None
 
-    def __contains__(self, modality_id: str) -> bool:
-        return modality_id in self._specs
-
-    def ids(self) -> list[str]:
-        return list(self._specs)
-
-    def corpus_count(self, modality_id: str) -> int:
-        return self.lookup(modality_id).corpus_count
-
 
 def default_registry() -> ModalityRegistry:
     return ModalityRegistry()
-
-
-def with_native_size(spec: ModalitySpec, size: int) -> ModalitySpec:
-    """Desk-scale override: keep channels authentic, swap the image size."""
-    out = replace(spec, native_size=size)
-    out.validate()
-    return out

@@ -348,22 +348,15 @@ def named_parameters(net: OfaNet) -> list[tuple[str, Tensor]]:
     return [(name, getattr(holder, attr)) for name, holder, attr in _param_slots(net)]
 
 
-def rebind_parameters(
-    net: OfaNet, arrays: dict[str, np.ndarray], require_all: bool = True
-) -> None:
-    """Replace named parameters with fresh tensors (e.g. an optimizer step).
-
-    With require_all, the array names must cover the net exactly (checkpoint
-    load); otherwise any subset is accepted (round-robin training steps only
-    touch the active modality's embedder/decoder plus the backbone).
-    """
+def rebind_parameters(net: OfaNet, arrays: dict[str, np.ndarray]) -> None:
+    """Replace every parameter with a fresh tensor over the given arrays
+    (checkpoint load). The names must cover the net exactly and each shape
+    must match; training steps update parameters in place instead."""
     slots = {name: (holder, attr) for name, holder, attr in _param_slots(net)}
-    if require_all and set(slots) != set(arrays):
+    if set(slots) != set(arrays):
         missing = sorted(set(slots) ^ set(arrays))
         raise ValueError(f"parameter set mismatch, offending names: {missing[:5]}")
     for name, arr in arrays.items():
-        if name not in slots:
-            raise KeyError(f"unknown parameter {name!r}")
         holder, attr = slots[name]
         current = getattr(holder, attr)
         if current.shape != tuple(arr.shape):

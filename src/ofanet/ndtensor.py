@@ -10,9 +10,10 @@ that does not require one.
 
 Ops never mutate their inputs. Outputs are fresh contiguous arrays. Every
 op whose result requires grad is recorded on a module-level tape; calling
-``backward(loss)`` walks the tape once in reverse, populates ``.grad`` on
-every participating tensor that requires grad, and clears the tape.
-``no_grad`` switches recording off for the calling thread only.
+``backward(loss)`` walks the tape once in reverse, accumulates ``.grad`` on
+the leaves that require grad (tensors no recorded op produced, such as
+parameters), and clears the tape. Intermediate results never get a
+``.grad``. ``no_grad`` switches recording off for the calling thread only.
 
 Training runs in float32, except that ``mse`` accumulates and returns its
 scalar loss in float64 (its gradient is in the prediction's dtype).
@@ -463,7 +464,8 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-propagate from a scalar loss; populates .grad, clears the tape."""
+    """Reverse-propagate from a scalar loss; accumulates .grad on the leaves
+    that require grad, and on nothing else, then clears the tape."""
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.shape != ():
@@ -472,25 +474,16 @@ def backward(loss: Tensor) -> None:
     if not any(node.out is loss for node in nodes):
         raise ValueError("loss is not on the active tape")
 
-    needed = {id(loss)}
-    for node in reversed(nodes):
-        if id(node.out) in needed:
-            for p in node.parents:
-                needed.add(id(p))
-
+    # only nodes the loss depends on ever receive a gradient, so one reverse
+    # sweep skips the rest without a reachability pass
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    holders: dict[int, Tensor] = {}
     for node in reversed(nodes):
-        oid = id(node.out)
-        if oid not in needed:
-            continue
-        g = grads.pop(oid, None)
+        g = grads.pop(id(node.out), None)
         if g is None:
             continue
-        if node.out.requires_grad:
-            _accumulate(node.out, g)
         for parent, pg in zip(node.parents, node.grad_fn(g)):
-            if pg is None:
+            if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
             if pid in grads:
@@ -501,9 +494,7 @@ def backward(loss: Tensor) -> None:
 
     # whatever is left has no producing node: the leaves
     for pid, g in grads.items():
-        t = holders[pid]
-        if t.requires_grad:
-            _accumulate(t, g)
+        _accumulate(holders[pid], g)
     _TAPE.clear()
 
 

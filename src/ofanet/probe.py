@@ -101,7 +101,7 @@ def extract_features(net: OfaNet, images: np.ndarray, modality: str, per_token: 
     on the training forward path in chunks of FEATURE_CHUNK images."""
     size = net.dims.input_size
     if images.shape[1] != size or images.shape[2] != size:
-        images = np.stack([resize_nearest(img, size) for img in images])
+        images = resize_nearest(images, size)
     fwd = forward_tokens if per_token else forward_features
 
     def chunk(lo: int) -> np.ndarray:
@@ -258,7 +258,7 @@ def run_seg_probe(
     feats = extract_features(net, dataset.images, dataset.modality_id, per_token=True)
     masks = dataset.masks
     if masks.shape[1] != net.dims.input_size:
-        masks = np.stack([resize_nearest(mk, net.dims.input_size) for mk in masks])
+        masks = resize_nearest(masks, net.dims.input_size)
     train_idx, eval_idx = _split(masks.shape[0])
     head = train_linear_seg(feats[train_idx], masks[train_idx], grid, patch, config)
     pred = predict_seg(head, feats[eval_idx], grid, patch)

@@ -53,15 +53,7 @@ class TrainConfig:
     data_dir: str = ""
 
     def model_dims(self) -> ModelDims:
-        return ModelDims(
-            input_size=self.input_size,
-            patch_size=self.patch_size,
-            embed_dim=self.embed_dim,
-            depth=self.depth,
-            heads=self.heads,
-            decoder_embed_dim=self.decoder_embed_dim,
-            decoder_depth=self.decoder_depth,
-        )
+        return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def validate(self) -> None:
         self.model_dims().validate()
@@ -130,39 +122,24 @@ class RunConfig:
         return ModalityRegistry(specs)
 
 
-_TRAIN_TYPES: dict[str, type] = {
-    "seed": int,
-    "input_size": int,
-    "patch_size": int,
-    "embed_dim": int,
-    "depth": int,
-    "heads": int,
-    "decoder_embed_dim": int,
-    "decoder_depth": int,
-    "mask_ratio": float,
-    "samples_per_modality": int,
-    "batch_size": int,
-    "epochs": int,
-    "base_lr": float,
-    "weight_decay": float,
-    "warmup_fraction": float,
-    "modalities": tuple,
-    "data_dir": str,
+# parse type per field annotation; a section's keys are its dataclass fields
+_PARSE_TYPES: dict[str, type] = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "tuple[str, ...]": tuple,
 }
-_PROBE_TYPES: dict[str, type] = {
-    "task": str,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "k_classes": int,
-    "checkpoint": str,
-}
-_MODALITY_TYPES: dict[str, type] = {
-    "channels": int,
-    "native_size": int,
-    "gsd_meters": float,
-    "corpus_count": int,
-}
+
+
+def _schema(cls) -> dict[str, type]:
+    # a modality's id is its section name, not a key
+    return {f.name: _PARSE_TYPES[f.type] for f in fields(cls) if f.name != "id"}
+
+
+_TRAIN_SCHEMA = _schema(TrainConfig)
+_PROBE_SCHEMA = _schema(ProbeConfig)
+_MODALITY_SCHEMA = _schema(ModalitySpec)
 
 
 def _convert(raw: str, typ: type, key: str, line: int) -> Any:
@@ -211,11 +188,11 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         value = raw_value.strip()
         if section == "train":
-            schema, target = _TRAIN_TYPES, train_vals
+            schema, target = _TRAIN_SCHEMA, train_vals
         elif section == "probe":
-            schema, target = _PROBE_TYPES, probe_vals
+            schema, target = _PROBE_SCHEMA, probe_vals
         else:
-            schema, target = _MODALITY_TYPES, modality_vals[section[len("modality."):]]
+            schema, target = _MODALITY_SCHEMA, modality_vals[section[len("modality."):]]
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         if key in target:
@@ -225,17 +202,11 @@ def parse_config(text: str) -> RunConfig:
 
     train = replace(TrainConfig(), **train_vals)
     probe = replace(ProbeConfig(), **probe_vals)
+    builtins = {spec.id: spec for spec in builtin_modalities()}
     overrides = []
     for mid, vals in modality_vals.items():
-        base = {"gsd_meters": 0.0, "corpus_count": 0}
-        for builtin in builtin_modalities():
-            if builtin.id == mid:
-                base = {
-                    "channels": builtin.channels,
-                    "native_size": builtin.native_size,
-                    "gsd_meters": builtin.gsd_meters,
-                    "corpus_count": builtin.corpus_count,
-                }
+        builtin = builtins.get(mid)
+        base = {key: getattr(builtin, key) for key in _MODALITY_SCHEMA} if builtin else {}
         merged = {**base, **vals}
         if "channels" not in merged or "native_size" not in merged:
             raise ConfigError(f"[modality.{mid}] needs channels and native_size")
@@ -267,25 +238,17 @@ def _validate(cfg: RunConfig, key_lines: dict[tuple[str, str], int]) -> None:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    lines = ["[train]"]
-    for f in fields(TrainConfig):
-        value = getattr(cfg.train, f.name)
-        lines.append(f"{f.name} = {_format(value)}")
-    lines.append("")
-    lines.append("[probe]")
-    for f in fields(ProbeConfig):
-        value = getattr(cfg.probe, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_format(value)}")
-    for spec in cfg.modality_overrides:
-        lines.append("")
-        lines.append(f"[modality.{spec.id}]")
-        lines.append(f"channels = {spec.channels}")
-        lines.append(f"native_size = {spec.native_size}")
-        lines.append(f"gsd_meters = {_format(spec.gsd_meters)}")
-        lines.append(f"corpus_count = {spec.corpus_count}")
-    return "\n".join(lines) + "\n"
+    sections = [("train", cfg.train, _TRAIN_SCHEMA), ("probe", cfg.probe, _PROBE_SCHEMA)]
+    sections += [(f"modality.{spec.id}", spec, _MODALITY_SCHEMA) for spec in cfg.modality_overrides]
+    blocks = []
+    for name, values, schema in sections:
+        lines = [f"[{name}]"]
+        for key in schema:
+            value = getattr(values, key)
+            if value is not None:  # an unset probe lr means the task default
+                lines.append(f"{key} = {_format(value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _format(value: Any) -> str:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .binread import BinaryReader
+from .binread import BinaryReader, atomic_write
 from .modalities import ModalitySpec
 from .seeds import generator, parallel_map
 
@@ -253,15 +253,16 @@ def gen_seg_dataset(
     return parallel_map(build, range(n))
 
 
-def resize_nearest(image: np.ndarray, size: int) -> np.ndarray:
-    """Nearest-neighbor resize of [h, w] or [h, w, c] to size x size.
+def resize_nearest(images: np.ndarray, size: int) -> np.ndarray:
+    """Nearest-neighbor resize of a stack [n, h, w] or [n, h, w, c] to
+    [n, size, size, ...].
 
     Pure index arithmetic: label-safe for masks, bit-exact across runs.
     """
-    h, w = image.shape[:2]
+    h, w = images.shape[1:3]
     rows = (np.arange(size) * h) // size
     cols = (np.arange(size) * w) // size
-    return np.ascontiguousarray(image[rows][:, cols])
+    return np.ascontiguousarray(images[:, rows[:, None], cols])
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +297,24 @@ def stack_samples(modality_id: str, samples: list[SynthSample]) -> LoadedDataset
 
 def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
     """Write an OFAD file atomically (temp file + rename; no partials)."""
-    path = Path(path)
     n, h, w, c = dataset.images.shape
     kind = dataset.label_kind
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_DATASET_MAGIC)
-            fh.write(struct.pack("<H", _DATASET_VERSION))
-            ident = dataset.modality_id.encode("ascii")
-            fh.write(struct.pack("<I", len(ident)))
-            fh.write(ident)
-            fh.write(struct.pack("<IHHHB", n, h, w, c, kind))
-            for i in range(n):
-                fh.write(np.ascontiguousarray(dataset.images[i], dtype="<f4").tobytes())
-                if kind == LABEL_CLASS:
-                    fh.write(struct.pack("<H", int(dataset.labels[i])))
-                elif kind == LABEL_MASK:
-                    fh.write(np.ascontiguousarray(dataset.masks[i], dtype=np.uint8).tobytes())
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def write(fh) -> None:
+        fh.write(_DATASET_MAGIC)
+        fh.write(struct.pack("<H", _DATASET_VERSION))
+        ident = dataset.modality_id.encode("ascii")
+        fh.write(struct.pack("<I", len(ident)))
+        fh.write(ident)
+        fh.write(struct.pack("<IHHHB", n, h, w, c, kind))
+        for i in range(n):
+            fh.write(np.ascontiguousarray(dataset.images[i], dtype="<f4").tobytes())
+            if kind == LABEL_CLASS:
+                fh.write(struct.pack("<H", int(dataset.labels[i])))
+            elif kind == LABEL_MASK:
+                fh.write(np.ascontiguousarray(dataset.masks[i], dtype=np.uint8).tobytes())
+
+    atomic_write(path, write)
 
 
 def load_dataset(path: str | Path) -> LoadedDataset:

@@ -5,6 +5,11 @@ from one modality, round-robin over the config's modality list, so the five
 streams stay spatially unaligned end to end. The last partial batch per
 modality per epoch is dropped, keeping the per-epoch step count exact.
 
+Each step updates the parameters that received a gradient in place: the
+same Tensor objects get the optimizer's new arrays, and their gradients are
+cleared for the next step. Parameters of the other modalities stay as they
+are.
+
 Every source of randomness (data, shuffles, masks, init) is a derived
 counter seed, so identical config+seed reproduces the loss log and the
 checkpoints bit for bit regardless of OFA_THREADS. A step whose loss is
@@ -23,7 +28,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import ndtensor as ndt
 from . import synthdata
-from .model import OfaNet, build_ofanet, mim_forward_batch, named_parameters, rebind_parameters
+from .binread import atomic_write
+from .model import OfaNet, build_ofanet, mim_forward_batch, named_parameters
 from .modalities import ModalityRegistry, default_registry
 from .runconfig import RunConfig, TrainConfig, serialize_config
 from .seeds import derive_seed, generator
@@ -126,9 +132,7 @@ def _load_streams(
                     f"{path}: has {imgs.shape[0]} samples, need {config.samples_per_modality}"
                 )
             if imgs.shape[1] != config.input_size:
-                imgs = np.stack(
-                    [synthdata.resize_nearest(im, config.input_size) for im in imgs]
-                )
+                imgs = synthdata.resize_nearest(imgs, config.input_size)
             streams[mid] = imgs
         else:
             samples = synthdata.gen_pretrain_stream(
@@ -192,7 +196,8 @@ def pretrain(
         final_path = out_path / "checkpoint-final.ofac"
         ckpt.save_net(final_path, net, config_text)
         log_path = out_path / "loss.log"
-        log_path.write_text("".join(line + "\n" for line in log_lines))
+        text = "".join(line + "\n" for line in log_lines).encode("utf-8")
+        atomic_write(log_path, lambda fh: fh.write(text))
     return PretrainResult(
         net=net, log_lines=log_lines, final_checkpoint=final_path, log_path=log_path
     )
@@ -223,5 +228,6 @@ def _train_step(
     params = {name: t.data for name, t in touched.items()}
     grads = {name: t.grad for name, t in touched.items()}
     updated = optimizer_step(params, grads, state, lr, config.weight_decay)
-    rebind_parameters(net, updated, require_all=False)
+    for name, t in touched.items():
+        t.data, t.grad = updated[name], None
     return loss

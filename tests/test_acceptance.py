@@ -98,10 +98,11 @@ def _backbone_transplant(donor_path, train_cfg=DESK):
     single-modality baseline probed on modalities it never saw."""
     net = m.build_ofanet(train_cfg.model_dims(), builtin_modalities(), train_cfg.seed)
     donor = ckpt.read_checkpoint(donor_path)
-    backbone_arrays = {
-        name: arr for name, arr in donor.tensors.items() if name.startswith("backbone.")
+    arrays = {
+        name: donor.tensors[name] if name.startswith("backbone.") else t.data
+        for name, t in m.named_parameters(net)
     }
-    m.rebind_parameters(net, backbone_arrays, require_all=False)
+    m.rebind_parameters(net, arrays)
     return net
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ofanet import synthdata
+from ofanet.binread import atomic_write
 from ofanet.cli import main
 
 
@@ -67,6 +68,23 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_atomic_write_failure_keeps_old_bytes(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old bytes")
+
+    def write(fh):
+        fh.write(b"new")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(path, write)
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
+    atomic_write(path, lambda fh: fh.write(b"new bytes"))
+    assert path.read_bytes() == b"new bytes"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["pretrain", "--config", str(tiny_config_path), "--out-dir", str(run_dir)]) == 0
@@ -94,6 +112,7 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
                  "--data", str(data), "--config", str(tiny_config_path),
                  "--method", "ofa", "--out", str(lines_file)]) == 0
     capsys.readouterr()
+    assert len(lines_file.read_text().splitlines()) == 2
 
     assert main(["inspect", "--checkpoint", str(final)]) == 0
     inspect_out = capsys.readouterr().out

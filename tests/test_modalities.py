@@ -5,7 +5,6 @@ from ofanet.modalities import (
     ModalitySpec,
     builtin_modalities,
     default_registry,
-    with_native_size,
 )
 
 
@@ -36,11 +35,11 @@ def test_builtin_lookups():
 
 def test_corpus_counts_metadata():
     reg = default_registry()
-    assert reg.corpus_count("sentinel1") == 4_642_353
-    assert reg.corpus_count("sentinel2") == 977_774
-    assert reg.corpus_count("gaofen") == 117_450
-    assert reg.corpus_count("naip") == 2_332_351
-    assert reg.corpus_count("enmap") == 11_483
+    assert reg.lookup("sentinel1").corpus_count == 4_642_353
+    assert reg.lookup("sentinel2").corpus_count == 977_774
+    assert reg.lookup("gaofen").corpus_count == 117_450
+    assert reg.lookup("naip").corpus_count == 2_332_351
+    assert reg.lookup("enmap").corpus_count == 11_483
 
 
 def test_builtins_stable_across_calls():
@@ -70,9 +69,3 @@ def test_register_zero_channels_rejected():
 def test_unknown_lookup_names_candidates():
     with pytest.raises(KeyError, match="thermal"):
         default_registry().lookup("thermal")
-
-
-def test_native_size_override_keeps_channels():
-    spec = with_native_size(default_registry().lookup("enmap"), 32)
-    assert spec.native_size == 32
-    assert spec.channels == 224

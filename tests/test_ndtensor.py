@@ -308,7 +308,37 @@ def test_backward_seeds_loss_grad_with_one():
     x = Tensor([2.0], requires_grad=True)
     loss = ndt.tsum(x)
     ndt.backward(loss)
-    assert loss.grad == np.ones(())
+    assert x.grad == [1.0]
+
+
+def test_backward_grads_leaves_only():
+    rng = np.random.default_rng(12)
+    x0, w0, c0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+    with ndt.dtype_mode("float64"):
+        x, w, c = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True), Tensor(c0)
+
+        def f(xv, wv, cv):
+            h = ndt.gelu(ndt.matmul(xv, wv))
+            return ndt.tmean(ndt.mul(ndt.add(h, xv.sum(axis=1, keepdims=True)), cv))
+
+        loss = f(x, w, c)
+        intermediates = [node.out for node in ndt.active_tape()]
+        assert loss in intermediates and len(intermediates) > 4
+        ndt.backward(loss)
+
+        def fx(v):
+            with ndt.no_grad():
+                return f(Tensor(v), Tensor(w0), Tensor(c0)).item()
+
+        def fw(v):
+            with ndt.no_grad():
+                return f(Tensor(x0), Tensor(v), Tensor(c0)).item()
+
+        fd_x, fd_w = finite_diff(fx, x0, 1e-5), finite_diff(fw, w0, 1e-5)
+    assert all(t.grad is None for t in intermediates)
+    assert c.grad is None
+    assert rel_err(x.grad, fd_x) < 1e-6
+    assert rel_err(w.grad, fd_w) < 1e-6
 
 
 def test_backward_rejects_non_scalar():

@@ -222,7 +222,7 @@ def test_batched_features_equal_single_image_features(size, per_token):
     assert probe.FEATURE_CHUNK < len(images)
     feats = probe.extract_features(net, images, "sentinel1", per_token=per_token)
     if size != 16:
-        images = np.stack([resize_nearest(img, 16) for img in images])
+        images = np.stack([resize_nearest(img[None], 16)[0] for img in images])
     np.testing.assert_array_equal(feats, _stacked_single_image_features(net, images, "sentinel1", per_token))
 
 

@@ -112,6 +112,29 @@ def test_roundtrip_parse_serialize_parse():
     assert again == cfg
 
 
+def test_serialize_config_text_is_pinned():
+    # checkpoints embed this text, so it must not drift byte for byte
+    assert serialize_config(RunConfig()) == (
+        "[train]\nseed = 42\ninput_size = 32\npatch_size = 4\nembed_dim = 64\ndepth = 4\n"
+        "heads = 4\ndecoder_embed_dim = 32\ndecoder_depth = 2\nmask_ratio = 0.75\n"
+        "samples_per_modality = 512\nbatch_size = 16\nepochs = 30\nbase_lr = 0.00015\n"
+        "weight_decay = 0.05\nwarmup_fraction = 0.05\n"
+        "modalities = sentinel1, sentinel2, gaofen, naip, enmap\ndata_dir = \n"
+        "\n[probe]\ntask = classification\nepochs = 100\nbatch_size = 0\nk_classes = 4\n"
+        "checkpoint = random-init\n"
+    )
+    cfg = parse_config(
+        "[train]\nseed = 1\n\n[probe]\nlr = 0.001\n\n"
+        "[modality.enmap]\nnative_size = 32\n\n[modality.thermal]\nchannels = 1\nnative_size = 64\n"
+    )
+    assert serialize_config(cfg).endswith(
+        "checkpoint = random-init\n"
+        "\n[modality.enmap]\nchannels = 224\nnative_size = 32\ngsd_meters = 30.0\ncorpus_count = 11483\n"
+        "\n[modality.thermal]\nchannels = 1\nnative_size = 64\ngsd_meters = 0.0\ncorpus_count = 0\n"
+    )
+    assert "\nlr = 0.001\n" in serialize_config(cfg)
+
+
 def test_roundtrip_default_config():
     cfg = RunConfig()
     assert parse_config(serialize_config(cfg)) == cfg

@@ -169,18 +169,22 @@ def test_seg_dataset_both_classes_usually_present():
 
 def test_resize_nearest_mask_safe():
     mask = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    up = sd.resize_nearest(mask, 8)
+    up = sd.resize_nearest(mask[None], 8)[0]
     assert up.shape == (8, 8)
     assert set(np.unique(up)) == set(np.unique(mask))
     np.testing.assert_array_equal(up[::2, ::2], mask)
-    down = sd.resize_nearest(up, 4)
+    down = sd.resize_nearest(up[None], 4)[0]
     np.testing.assert_array_equal(down, mask)
 
 
 def test_resize_nearest_image_channels():
     img = sd.gen_pretrain_sample(NAIP, 1, 0, size=16).image
-    out = sd.resize_nearest(img, 32)
+    out = sd.resize_nearest(img[None], 32)[0]
     assert out.shape == (32, 32, 3)
+    # a stack resizes each image on its own, as the per-image index formula does
+    stack = np.stack([sd.gen_pretrain_sample(NAIP, 1, i, size=16).image for i in range(3)])
+    rows = cols = (np.arange(24) * 16) // 24
+    np.testing.assert_array_equal(sd.resize_nearest(stack, 24), [im[rows][:, cols] for im in stack])
 
 
 def test_generation_identical_under_parallelism(monkeypatch):

@@ -122,6 +122,31 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
+def test_train_step_updates_parameters_in_place():
+    cfg = tiny_config()
+    specs = [default_registry().lookup(mid) for mid in cfg.modalities]
+    net = m.build_ofanet(cfg.model_dims(), specs, cfg.seed)
+    images = np.stack([s.image for s in gen_pretrain_stream(specs[0], 5, 4, size=cfg.input_size)])
+    before = dict(m.named_parameters(net))
+    data_before = {name: t.data for name, t in before.items()}
+    state = OptimizerState()
+    for step in range(2):
+        trainer._train_step(net, images, "sentinel1", cfg, state, 1e-3, step)
+        after = dict(m.named_parameters(net))
+        assert list(after) == list(before)
+        for name, t in after.items():
+            assert t is before[name]
+            assert t.grad is None
+    touched = {name for name in before if not name.startswith(("embedder.naip", "decoder.naip"))}
+    assert set(state.m) == touched
+    for name, t in before.items():
+        if name in touched:
+            assert t.data is not data_before[name]
+        else:
+            assert t.data is data_before[name]
+    assert not np.array_equal(before["backbone.block0.attn.wq"].data, data_before["backbone.block0.attn.wq"])
+
+
 def test_round_robin_schedule_five_modalities():
     cfg = tiny_config(
         modalities=tuple(s.id for s in builtin_modalities()),
