@@ -20,8 +20,9 @@ class ModalitySpec:
     corpus_count: int = 0
 
     def validate(self) -> None:
-        if not self.id:
-            raise ValueError("modality id must be non-empty")
+        if not self.id or "." in self.id:
+            # the id is one segment of dotted parameter names
+            raise ValueError(f"modality id must be non-empty and dot-free, got {self.id!r}")
         if self.channels < 1:
             raise ValueError(f"modality {self.id!r}: channels must be >= 1, got {self.channels}")
         if self.native_size < 16:

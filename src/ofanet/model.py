@@ -1,20 +1,28 @@
 """The one-for-all network: per-modality patch embedders, one shared
 Transformer backbone, per-modality masked-autoencoder decoders.
 
-All modalities meet the same backbone parameters; anything per-modality
-lives strictly in its embedder or decoder. There is one forward path, and it
-is batched: every stage takes [b, ...] arrays, and a single image is a batch
-of 1. ``mim_forward_batch`` composes ``embed_patches``, ``draw_masks``,
-``encode_tokens``, ``decode_tokens`` and ``masked_loss`` into one training
-graph per mini-batch; ``forward_tokens`` and ``forward_features`` reuse the
-embed and encode stages off-tape for frozen feature extraction.
+The net is one parameter table, ``OfaNet.params``: name -> Tensor in
+canonical order, which is also the checkpoint order. Embedders come first
+(``embedder.<m>.*``, modality ids sorted), then the shared backbone
+(``backbone.*``), then the decoders (``decoder.<m>.*``, ids sorted).
+``_layout`` spells every name once; the forward stages take a section of the
+table by name prefix and unpack it in layout order. Anything per-modality
+lives strictly under an embedder or decoder name; the two sin-cos tables
+are fixed and shared.
+
+There is one forward path, and it is batched: every stage takes [b, ...]
+arrays, and a single image is a batch of 1. ``mim_forward_batch`` composes
+``embed_patches``, ``draw_masks``, ``encode_tokens``, ``decode_tokens`` and
+``masked_loss`` into one training graph per mini-batch; ``forward_tokens``
+and ``forward_features`` reuse the embed and encode stages off-tape for
+frozen feature extraction.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,88 +113,70 @@ def patchify(image, patch_size: int) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(*lead, gh * gw, p * p * c))
 
 
-def unpatchify(patches, grid: tuple[int, int], patch_size: int, channels: int) -> np.ndarray:
-    """Inverse of patchify for a [n, p*p*c] array."""
-    arr = patches.data if isinstance(patches, Tensor) else np.asarray(patches)
-    gh, gw = grid
-    p = patch_size
-    out = arr.reshape(gh, gw, p, p, channels).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(out.reshape(gh * p, gw * p, channels))
-
-
 # ---------------------------------------------------------------------------
-# parameter containers
+# the parameter table
+
+# One Transformer block: (name, shape in units of the block width, init
+# kind), in canonical order; backbone and decoder blocks share it. No key
+# bias: a constant added to every key cancels inside softmax, so its
+# gradient is identically zero and the parameter is dead weight.
+_BLOCK = (
+    ("ln1.gamma", (1,), "ones"),
+    ("ln1.beta", (1,), "zeros"),
+    ("attn.wq", (1, 1), "weight"),
+    ("attn.bq", (1,), "zeros"),
+    ("attn.wk", (1, 1), "weight"),
+    ("attn.wv", (1, 1), "weight"),
+    ("attn.bv", (1,), "zeros"),
+    ("attn.wo", (1, 1), "weight"),
+    ("attn.bo", (1,), "zeros"),
+    ("ln2.gamma", (1,), "ones"),
+    ("ln2.beta", (1,), "zeros"),
+    ("mlp.w1", (1, 4), "weight"),
+    ("mlp.b1", (4,), "zeros"),
+    ("mlp.w2", (4, 1), "weight"),
+    ("mlp.b2", (1,), "zeros"),
+)
 
 
-@dataclass
-class AttentionParams:
-    # no key bias: a constant added to every key cancels inside softmax,
-    # so its gradient is identically zero and the parameter is dead weight
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
+def _stack_layout(prefix: str, depth: int, width: int):
+    """Blocks, then the final norm, of one Transformer stack."""
+    for i in range(depth):
+        for name, units, kind in _BLOCK:
+            yield f"{prefix}.block{i}.{name}", tuple(u * width for u in units), kind
+    yield f"{prefix}.norm.gamma", (width,), "ones"
+    yield f"{prefix}.norm.beta", (width,), "zeros"
 
 
-@dataclass
-class BlockParams:
-    ln1_g: Tensor
-    ln1_b: Tensor
-    attn: AttentionParams
-    ln2_g: Tensor
-    ln2_b: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
-
-
-@dataclass
-class PatchEmbedder:
-    modality: str
-    patch_size: int
-    channels: int
-    weight: Tensor  # [p*p*c, d]
-    bias: Tensor  # [d]
-
-
-@dataclass
-class TransformerBackbone:
-    embed_dim: int
-    heads: int
-    blocks: list[BlockParams]
-    norm_g: Tensor
-    norm_b: Tensor
-    pos: Tensor  # fixed [n, d], requires_grad False
-
-
-@dataclass
-class ModalityDecoder:
-    modality: str
-    proj_w: Tensor  # [d, d_dec]
-    proj_b: Tensor
-    mask_token: Tensor  # [d_dec]
-    blocks: list[BlockParams]
-    norm_g: Tensor
-    norm_b: Tensor
-    head_w: Tensor  # [d_dec, p*p*c]
-    head_b: Tensor
-    pos: Tensor  # fixed [n, d_dec]
+def _layout(dims: ModelDims, channels: dict[str, int]):
+    """(name, shape, init kind) of every parameter, in canonical order."""
+    d, dd, p2 = dims.embed_dim, dims.decoder_embed_dim, dims.patch_size**2
+    for mid in sorted(channels):
+        yield f"embedder.{mid}.weight", (p2 * channels[mid], d), "weight"
+        yield f"embedder.{mid}.bias", (d,), "zeros"
+    yield from _stack_layout("backbone", dims.depth, d)
+    for mid in sorted(channels):
+        yield f"decoder.{mid}.proj.weight", (d, dd), "weight"
+        yield f"decoder.{mid}.proj.bias", (dd,), "zeros"
+        yield f"decoder.{mid}.mask_token", (dd,), "token"
+        yield from _stack_layout(f"decoder.{mid}", dims.decoder_depth, dd)
+        yield f"decoder.{mid}.head.weight", (dd, p2 * channels[mid]), "weight"
+        yield f"decoder.{mid}.head.bias", (p2 * channels[mid],), "zeros"
 
 
 @dataclass
 class OfaNet:
     dims: ModelDims
-    embedders: dict[str, PatchEmbedder]
-    backbone: TransformerBackbone
-    decoders: dict[str, ModalityDecoder] = field(default_factory=dict)
+    channels: dict[str, int]  # modality id -> bands
+    params: dict[str, Tensor]  # canonical order, see _layout
+    backbone_pos: Tensor  # fixed [n, d], requires_grad False
+    decoder_pos: Tensor  # fixed [n, d_dec], shared by every decoder
 
-    @property
-    def modalities(self) -> list[str]:
-        return sorted(self.embedders)
+
+def _section(net: OfaNet, prefix: str) -> list[Tensor]:
+    """The tensors named ``prefix.*``, in canonical order."""
+    head = prefix + "."
+    return [t for name, t in net.params.items() if name.startswith(head)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +211,6 @@ def _init_param(seed: int, name: str, shape, kind: str) -> Tensor:
     return Tensor(np.asarray(data, dtype=ndt.default_dtype()), requires_grad=True)
 
 
-def _init_block(seed: int, prefix: str, width: int) -> BlockParams:
-    def w(name, shape):
-        return _init_param(seed, f"{prefix}.{name}", shape, "weight")
-
-    def z(name, shape):
-        return _init_param(seed, f"{prefix}.{name}", shape, "zeros")
-
-    attn = AttentionParams(
-        wq=w("attn.wq", (width, width)),
-        bq=z("attn.bq", (width,)),
-        wk=w("attn.wk", (width, width)),
-        wv=w("attn.wv", (width, width)),
-        bv=z("attn.bv", (width,)),
-        wo=w("attn.wo", (width, width)),
-        bo=z("attn.bo", (width,)),
-    )
-    return BlockParams(
-        ln1_g=_init_param(seed, f"{prefix}.ln1.gamma", (width,), "ones"),
-        ln1_b=z("ln1.beta", (width,)),
-        attn=attn,
-        ln2_g=_init_param(seed, f"{prefix}.ln2.gamma", (width,), "ones"),
-        ln2_b=z("ln2.beta", (width,)),
-        mlp_w1=w("mlp.w1", (width, 4 * width)),
-        mlp_b1=z("mlp.b1", (4 * width,)),
-        mlp_w2=w("mlp.w2", (4 * width, width)),
-        mlp_b2=z("mlp.b2", (width,)),
-    )
-
-
 def build_ofanet(dims: ModelDims, specs: list[ModalitySpec], seed: int) -> OfaNet:
     """Fresh net for the given modalities; init depends only on (seed, name),
     never on registration order or on which other modalities are present."""
@@ -257,111 +218,40 @@ def build_ofanet(dims: ModelDims, specs: list[ModalitySpec], seed: int) -> OfaNe
     ids = [s.id for s in specs]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate modalities in build list: {ids}")
+    channels = {s.id: s.channels for s in sorted(specs, key=lambda s: s.id)}
+    params = {
+        name: _init_param(seed, name, shape, kind) for name, shape, kind in _layout(dims, channels)
+    }
     gh, gw = dims.grid
-    ppc = dims.patch_size * dims.patch_size
-
-    embedders = {}
-    decoders = {}
-    for spec in specs:
-        d_in = ppc * spec.channels
-        embedders[spec.id] = PatchEmbedder(
-            modality=spec.id,
-            patch_size=dims.patch_size,
-            channels=spec.channels,
-            weight=_init_param(seed, f"embedder.{spec.id}.weight", (d_in, dims.embed_dim), "weight"),
-            bias=_init_param(seed, f"embedder.{spec.id}.bias", (dims.embed_dim,), "zeros"),
-        )
-        dd = dims.decoder_embed_dim
-        decoders[spec.id] = ModalityDecoder(
-            modality=spec.id,
-            proj_w=_init_param(seed, f"decoder.{spec.id}.proj.weight", (dims.embed_dim, dd), "weight"),
-            proj_b=_init_param(seed, f"decoder.{spec.id}.proj.bias", (dd,), "zeros"),
-            mask_token=_init_param(seed, f"decoder.{spec.id}.mask_token", (dd,), "token"),
-            blocks=[
-                _init_block(seed, f"decoder.{spec.id}.block{i}", dd)
-                for i in range(dims.decoder_depth)
-            ],
-            norm_g=_init_param(seed, f"decoder.{spec.id}.norm.gamma", (dd,), "ones"),
-            norm_b=_init_param(seed, f"decoder.{spec.id}.norm.beta", (dd,), "zeros"),
-            head_w=_init_param(seed, f"decoder.{spec.id}.head.weight", (dd, d_in), "weight"),
-            head_b=_init_param(seed, f"decoder.{spec.id}.head.bias", (d_in,), "zeros"),
-            pos=Tensor(sincos_pos_table(gh, gw, dd)),
-        )
-
-    backbone = TransformerBackbone(
-        embed_dim=dims.embed_dim,
-        heads=dims.heads,
-        blocks=[
-            _init_block(seed, f"backbone.block{i}", dims.embed_dim) for i in range(dims.depth)
-        ],
-        norm_g=_init_param(seed, "backbone.norm.gamma", (dims.embed_dim,), "ones"),
-        norm_b=_init_param(seed, "backbone.norm.beta", (dims.embed_dim,), "zeros"),
-        pos=Tensor(sincos_pos_table(gh, gw, dims.embed_dim)),
+    return OfaNet(
+        dims=dims,
+        channels=channels,
+        params=params,
+        backbone_pos=Tensor(sincos_pos_table(gh, gw, dims.embed_dim)),
+        decoder_pos=Tensor(sincos_pos_table(gh, gw, dims.decoder_embed_dim)),
     )
-    return OfaNet(dims=dims, embedders=embedders, backbone=backbone, decoders=decoders)
 
 
 # ---------------------------------------------------------------------------
 # parameter traversal
 
 
-def _block_slots(prefix: str, bp: BlockParams):
-    a = bp.attn
-    yield f"{prefix}.ln1.gamma", bp, "ln1_g"
-    yield f"{prefix}.ln1.beta", bp, "ln1_b"
-    for key in ("q", "k", "v", "o"):
-        yield f"{prefix}.attn.w{key}", a, f"w{key}"
-        if key != "k":
-            yield f"{prefix}.attn.b{key}", a, f"b{key}"
-    yield f"{prefix}.ln2.gamma", bp, "ln2_g"
-    yield f"{prefix}.ln2.beta", bp, "ln2_b"
-    yield f"{prefix}.mlp.w1", bp, "mlp_w1"
-    yield f"{prefix}.mlp.b1", bp, "mlp_b1"
-    yield f"{prefix}.mlp.w2", bp, "mlp_w2"
-    yield f"{prefix}.mlp.b2", bp, "mlp_b2"
-
-
-def _param_slots(net: OfaNet):
-    """(name, holder, attr) for every learnable tensor, in canonical order."""
-    for mid in sorted(net.embedders):
-        emb = net.embedders[mid]
-        yield f"embedder.{mid}.weight", emb, "weight"
-        yield f"embedder.{mid}.bias", emb, "bias"
-    for i, bp in enumerate(net.backbone.blocks):
-        yield from _block_slots(f"backbone.block{i}", bp)
-    yield "backbone.norm.gamma", net.backbone, "norm_g"
-    yield "backbone.norm.beta", net.backbone, "norm_b"
-    for mid in sorted(net.decoders):
-        dec = net.decoders[mid]
-        yield f"decoder.{mid}.proj.weight", dec, "proj_w"
-        yield f"decoder.{mid}.proj.bias", dec, "proj_b"
-        yield f"decoder.{mid}.mask_token", dec, "mask_token"
-        for i, bp in enumerate(dec.blocks):
-            yield from _block_slots(f"decoder.{mid}.block{i}", bp)
-        yield f"decoder.{mid}.norm.gamma", dec, "norm_g"
-        yield f"decoder.{mid}.norm.beta", dec, "norm_b"
-        yield f"decoder.{mid}.head.weight", dec, "head_w"
-        yield f"decoder.{mid}.head.bias", dec, "head_b"
-
-
 def named_parameters(net: OfaNet) -> list[tuple[str, Tensor]]:
-    return [(name, getattr(holder, attr)) for name, holder, attr in _param_slots(net)]
+    return list(net.params.items())
 
 
 def rebind_parameters(net: OfaNet, arrays: dict[str, np.ndarray]) -> None:
     """Replace every parameter with a fresh tensor over the given arrays
     (checkpoint load). The names must cover the net exactly and each shape
     must match; training steps update parameters in place instead."""
-    slots = {name: (holder, attr) for name, holder, attr in _param_slots(net)}
-    if set(slots) != set(arrays):
-        missing = sorted(set(slots) ^ set(arrays))
+    if set(net.params) != set(arrays):
+        missing = sorted(set(net.params) ^ set(arrays))
         raise ValueError(f"parameter set mismatch, offending names: {missing[:5]}")
     for name, arr in arrays.items():
-        holder, attr = slots[name]
-        current = getattr(holder, attr)
+        current = net.params[name]
         if current.shape != tuple(arr.shape):
             raise ValueError(f"parameter {name} has shape {current.shape}, got {arr.shape}")
-        setattr(holder, attr, Tensor(arr, requires_grad=True))
+        net.params[name] = Tensor(arr, requires_grad=True)
 
 
 def parameter_count(net: OfaNet) -> int:
@@ -407,8 +297,9 @@ def backbone_hash(net: OfaNet) -> str:
 # forward pieces
 
 
-def _attention(x: Tensor, ap: AttentionParams, heads: int) -> Tensor:
+def _attention(x: Tensor, attn: list[Tensor], heads: int) -> Tensor:
     """Multi-head self-attention over (..., n, d); heads split the last axis."""
+    wq, bq, wk, wv, bv, wo, bo = attn
     *lead, n, d = x.shape
     dh = d // heads
     split = (*lead, n, heads, dh)
@@ -419,40 +310,44 @@ def _attention(x: Tensor, ap: AttentionParams, heads: int) -> Tensor:
     def heads_of(t: Tensor) -> Tensor:
         return ndt.permute(ndt.reshape(t, split), to_heads)
 
-    q = heads_of(ndt.add(ndt.matmul(x, ap.wq), ap.bq))
-    k = heads_of(ndt.matmul(x, ap.wk))
-    v = heads_of(ndt.add(ndt.matmul(x, ap.wv), ap.bv))
+    q = heads_of(ndt.add(ndt.matmul(x, wq), bq))
+    k = heads_of(ndt.matmul(x, wk))
+    v = heads_of(ndt.add(ndt.matmul(x, wv), bv))
     att = ndt.mul(ndt.matmul(q, ndt.transpose(k)), 1.0 / math.sqrt(dh))
     weights = ndt.softmax(att, axis=-1)
     merged = ndt.reshape(ndt.permute(ndt.matmul(weights, v), to_heads), (*lead, n, d))
-    return ndt.add(ndt.matmul(merged, ap.wo), ap.bo)
+    return ndt.add(ndt.matmul(merged, wo), bo)
 
 
-def _block_forward(x: Tensor, bp: BlockParams, heads: int) -> Tensor:
-    h = ndt.layernorm(x, bp.ln1_g, bp.ln1_b)
-    x = ndt.add(x, _attention(h, bp.attn, heads))
-    h = ndt.layernorm(x, bp.ln2_g, bp.ln2_b)
-    h = ndt.add(ndt.matmul(ndt.gelu(ndt.add(ndt.matmul(h, bp.mlp_w1), bp.mlp_b1)), bp.mlp_w2), bp.mlp_b2)
-    return ndt.add(x, h)
+def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
+    """The blocks of one Transformer stack, given their tensors in _BLOCK
+    order; returns the hidden state before the final norm."""
+    for i in range(0, len(stack), len(_BLOCK)):
+        ln1_g, ln1_b, *attn, ln2_g, ln2_b, w1, b1, w2, b2 = stack[i : i + len(_BLOCK)]
+        h = ndt.layernorm(x, ln1_g, ln1_b)
+        x = ndt.add(x, _attention(h, attn, heads))
+        h = ndt.layernorm(x, ln2_g, ln2_b)
+        h = ndt.add(ndt.matmul(ndt.gelu(ndt.add(ndt.matmul(h, w1), b1)), w2), b2)
+        x = ndt.add(x, h)
+    return x
 
 
 def embed_patches(net: OfaNet, images, modality: str) -> tuple[np.ndarray, Tensor]:
     """Patchify [b, h, w, c] images, project with the modality's embedder, add
     positions: (patches [b, n, p*p*c], tokens [b, n, d])."""
-    if modality not in net.embedders:
-        raise KeyError(f"no embedder for modality {modality!r}; have {net.modalities}")
-    emb = net.embedders[modality]
+    if modality not in net.channels:
+        raise KeyError(f"no embedder for modality {modality!r}; have {sorted(net.channels)}")
+    channels = net.channels[modality]
     arr = np.asarray(images)
-    if arr.ndim != 4 or arr.shape[3] != emb.channels:
-        raise ValueError(
-            f"{modality} expects [b, h, w, {emb.channels}] input, got shape {arr.shape}"
-        )
+    if arr.ndim != 4 or arr.shape[3] != channels:
+        raise ValueError(f"{modality} expects [b, h, w, {channels}] input, got shape {arr.shape}")
     if arr.shape[1] != net.dims.input_size or arr.shape[2] != net.dims.input_size:
         raise ValueError(
             f"input must be resized to {net.dims.input_size}px first, got {arr.shape[1:3]}"
         )
-    patches = patchify(arr, emb.patch_size)
-    tokens = ndt.add(ndt.add(ndt.matmul(Tensor(patches), emb.weight), emb.bias), net.backbone.pos)
+    weight, bias = _section(net, f"embedder.{modality}")
+    patches = patchify(arr, net.dims.patch_size)
+    tokens = ndt.add(ndt.add(ndt.matmul(Tensor(patches), weight), bias), net.backbone_pos)
     return patches, tokens
 
 
@@ -472,9 +367,8 @@ def encode_tokens(net: OfaNet, tokens: Tensor, visible: np.ndarray | None = None
     """Shared backbone over the visible rows of [b, n, d] tokens (all rows
     when visible is None): [b, k, d]."""
     x = tokens if visible is None else ndt.gather_rows_batch(tokens, visible)
-    for bp in net.backbone.blocks:
-        x = _block_forward(x, bp, net.backbone.heads)
-    return ndt.layernorm(x, net.backbone.norm_g, net.backbone.norm_b)
+    *blocks, norm_g, norm_b = _section(net, "backbone")
+    return ndt.layernorm(_stack_forward(x, blocks, net.dims.heads), norm_g, norm_b)
 
 
 def decode_tokens(
@@ -482,20 +376,19 @@ def decode_tokens(
 ) -> Tensor:
     """Full-length reconstruction [b, n, p*p*c] from visible latents [b, k, d]:
     mask tokens fill the masked rows, then every row is put back in place."""
-    if modality not in net.decoders:
-        raise KeyError(f"no decoder for modality {modality!r}; have {sorted(net.decoders)}")
-    dec = net.decoders[modality]
+    decoder = _section(net, f"decoder.{modality}")
+    if not decoder:
+        raise KeyError(f"no decoder for modality {modality!r}")
+    proj_w, proj_b, mask_token, *blocks, norm_g, norm_b, head_w, head_b = decoder
     b, m = masked.shape
-    dd = dec.mask_token.shape[0]
+    dd = mask_token.shape[0]
     restore = np.argsort(np.concatenate([visible, masked], axis=1), axis=1).astype(np.intp)
-    lat = ndt.add(ndt.matmul(latent, dec.proj_w), dec.proj_b)
-    tile = ndt.add(Tensor(np.zeros((b, m, dd))), ndt.reshape(dec.mask_token, (1, 1, dd)))
+    lat = ndt.add(ndt.matmul(latent, proj_w), proj_b)
+    tile = ndt.add(Tensor(np.zeros((b, m, dd))), ndt.reshape(mask_token, (1, 1, dd)))
     full = ndt.gather_rows_batch(ndt.concat([lat, tile], axis=1), restore)
-    x = ndt.add(full, dec.pos)
-    for bp in dec.blocks:
-        x = _block_forward(x, bp, net.backbone.heads)
-    x = ndt.layernorm(x, dec.norm_g, dec.norm_b)
-    return ndt.add(ndt.matmul(x, dec.head_w), dec.head_b)
+    x = _stack_forward(ndt.add(full, net.decoder_pos), blocks, net.dims.heads)
+    x = ndt.layernorm(x, norm_g, norm_b)
+    return ndt.add(ndt.matmul(x, head_w), head_b)
 
 
 def masked_loss(pred: Tensor, targets: np.ndarray, masked: np.ndarray) -> Tensor:

@@ -202,7 +202,7 @@ def test_criterion_weight_sharing(random_net):
 
     confined = all(
         name.split(".")[0] in ("embedder", "backbone", "decoder")
-        and (name.split(".")[0] == "backbone" or name.split(".")[1] in net.embedders)
+        and (name.split(".")[0] == "backbone" or name.split(".")[1] in net.channels)
         for name, _ in m.named_parameters(net)
     )
 

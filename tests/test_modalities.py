@@ -66,6 +66,12 @@ def test_register_zero_channels_rejected():
         reg.register(ModalitySpec("broken", channels=0, native_size=64))
 
 
+def test_register_dotted_id_rejected():
+    # "naip.x" would share the "embedder.naip." parameter-name prefix
+    with pytest.raises(ValueError, match="dot-free"):
+        default_registry().register(ModalitySpec("naip.x", channels=3, native_size=64))
+
+
 def test_unknown_lookup_names_candidates():
     with pytest.raises(KeyError, match="thermal"):
         default_registry().lookup("thermal")

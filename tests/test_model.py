@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -47,12 +48,16 @@ def test_patchify_multispectral_shape():
     assert m.patchify(img, 4).shape == (64, 144)
 
 
-def test_patchify_roundtrip_bitwise():
+def test_patchify_multi_patch_layout():
+    # row i*cols+j is patch (i, j), flattened row-major with channel fastest
     rng = np.random.default_rng(3)
     img = rng.normal(size=(32, 32, 5)).astype(np.float32)
     patches = m.patchify(img, 4)
-    back = m.unpatchify(patches, (8, 8), 4, 5)
-    np.testing.assert_array_equal(back, img)
+    assert patches.shape == (64, 80)
+    for i in range(8):
+        for j in range(8):
+            block = img[4 * i : 4 * i + 4, 4 * j : 4 * j + 4]
+            np.testing.assert_array_equal(patches[i * 8 + j], block.reshape(-1))
 
 
 def test_patchify_layout_channel_fastest():
@@ -90,22 +95,22 @@ def test_embed_shape_contract():
 def test_embed_zero_image_equals_positional_table():
     net = build_net()
     _, tokens = m.embed_patches(net, np.zeros((1, 32, 32, 2), dtype=np.float32), "sentinel1")
-    np.testing.assert_array_equal(tokens.data[0], net.backbone.pos.data)
+    np.testing.assert_array_equal(tokens.data[0], net.backbone_pos.data)
 
 
 def test_enmap_embedder_weight_shape_forced_by_channels():
     net = build_net(("enmap",))
-    assert net.embedders["enmap"].weight.shape == (3584, 64)
+    assert net.params["embedder.enmap.weight"].shape == (3584, 64)
 
 
 def test_wide_reconstruction_head_keeps_backward_gain_order_one():
     net = build_net(("naip", "enmap"))
-    head = net.decoders["enmap"].head_w.data  # [32, 3584]
+    head = net.params["decoder.enmap.head.weight"].data  # [32, 3584]
     assert np.abs(head).max() <= np.sqrt(6.0 / (32 + 3584))
     # sum_k w_jk^2 is the gain from the loss back into the decoder's last
     # hidden state; U(+-1/sqrt(32)) would make it about 37
     assert (head.astype(np.float64) ** 2).sum(axis=1).mean() < 3.0
-    naip_head = net.decoders["naip"].head_w.data  # [32, 48]: plain fan-in bound
+    naip_head = net.params["decoder.naip.head.weight"].data  # [32, 48]: plain fan-in bound
     assert np.sqrt(6.0 / (32 + 3584)) < np.abs(naip_head).max() <= 1.0 / np.sqrt(32)
 
 
@@ -231,8 +236,8 @@ def test_decode_mask_token_ablation():
     latent = m.encode_tokens(net, tokens, visible)
     pred = m.decode_tokens(net, latent, masked, visible, "naip").data.copy()
 
-    dec = net.decoders["naip"]
-    dec.mask_token = Tensor(np.zeros_like(dec.mask_token.data), requires_grad=True)
+    token = net.params["decoder.naip.mask_token"]
+    net.params["decoder.naip.mask_token"] = Tensor(np.zeros_like(token.data), requires_grad=True)
     pred_zeroed = m.decode_tokens(net, latent, masked, visible, "naip").data
     diff_masked = np.linalg.norm(pred[0, masked[0]] - pred_zeroed[0, masked[0]])
     assert diff_masked > 0
@@ -352,8 +357,13 @@ def test_forward_features_decoder_independent():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 7, 0).image[None]
     with_dec = m.forward_features(net, img, "sentinel1").data.copy()
-    net.decoders = {}
+    tokens, masked, visible = _masked_tokens(net, img[0], "sentinel1", 7)
+    latent = m.encode_tokens(net, tokens, visible)
+    net.params = {n: t for n, t in net.params.items() if not n.startswith("decoder.")}
     np.testing.assert_array_equal(with_dec, m.forward_features(net, img, "sentinel1").data)
+    with pytest.raises(KeyError, match="sentinel1"):
+        m.decode_tokens(net, latent, masked, visible, "sentinel1")
+    ndt.active_tape().clear()
 
 
 def test_backbone_weight_sharing_across_all_modalities():
@@ -374,7 +384,7 @@ def test_per_modality_parameters_confined_to_embedders_and_decoders():
         head = name.split(".")[0]
         assert head in ("embedder", "backbone", "decoder")
         if head in ("embedder", "decoder"):
-            assert name.split(".")[1] in net.embedders
+            assert name.split(".")[1] in net.channels
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +505,24 @@ def test_checkpoint_load_restores_forward_bitwise(tmp_path):
     restored, loaded_cfg = ckpt.load_net(path)
     assert loaded_cfg.train.seed == 7
     np.testing.assert_array_equal(before, m.forward_features(restored, img, "naip").data)
+
+
+@pytest.mark.parametrize("build_order", [("naip", "sentinel1"), ("sentinel1", "naip")])
+def test_checkpoint_tensor_order_and_bytes_pinned(tmp_path, build_order):
+    # the parameter table's order is the file order: embedders, backbone,
+    # decoders, modality ids sorted whatever the build list's order
+    dims = m.ModelDims(16, 4, 16, 2, 4, 8, 2)
+    net = m.build_ofanet(dims, [REG.lookup(mid) for mid in build_order], seed=0)
+    path = tmp_path / "tiny.ofac"
+    ckpt.save_net(path, net, "[train]\nseed = 0\n")
+    names = list(ckpt.read_checkpoint(path).tensors)
+    assert len(names) == 110
+    assert names[:4] == ["embedder.naip.weight", "embedder.naip.bias",
+                         "embedder.sentinel1.weight", "embedder.sentinel1.bias"]
+    assert names[4] == "backbone.block0.ln1.gamma"
+    assert names[-1] == "decoder.sentinel1.head.bias"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "cd8b2ecab7817f754e32e165916b544701e3c80fb742413a643364edc95163a4"
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

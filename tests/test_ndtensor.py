@@ -319,7 +319,7 @@ def test_backward_grads_leaves_only():
 
         def f(xv, wv, cv):
             h = ndt.gelu(ndt.matmul(xv, wv))
-            return ndt.tmean(ndt.mul(ndt.add(h, xv.sum(axis=1, keepdims=True)), cv))
+            return ndt.tmean(ndt.mul(ndt.add(h, ndt.tsum(xv, axis=1, keepdims=True)), cv))
 
         loss = f(x, w, c)
         intermediates = [node.out for node in ndt.active_tape()]
