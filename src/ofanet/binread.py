@@ -62,7 +62,10 @@ class BinaryReader:
         dtype = np.dtype(dtype)
         count = math.prod(shape)  # python ints: a corrupt extent cannot overflow
         start = self.take(count * dtype.itemsize, what)
-        return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start).reshape(shape)
+        try:
+            return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start).reshape(shape)
+        except ValueError as exc:  # a zero extent lets any rank or extents pass `take`
+            self.fail(f"{what}: {exc}", start)
 
     def finish(self, what: str) -> None:
         if self.off != len(self.raw):

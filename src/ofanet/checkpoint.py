@@ -4,6 +4,9 @@ Layout, all little-endian: magic "OFAC", u16 version, u32 config length +
 utf-8 config text, u32 tensor count, then per tensor: u32 name length +
 name, u8 rank, one u32 extent per axis, raw f32 data. Fixed sin-cos tables
 are rebuilt from the config at load time and never stored.
+
+A checkpoint describes itself: `load_net` builds the net, `[modality.*]`
+overrides included, from the embedded config alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from . import runconfig
 from .binread import BinaryReader, atomic_write
-from .modalities import ModalityRegistry
 from .model import OfaNet, build_ofanet, named_parameters, rebind_parameters
 
 _MAGIC = b"OFAC"
@@ -81,14 +83,18 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(config_text=config_text, tensors=tensors)
 
 
-def load_net(
-    path: str | Path, registry: ModalityRegistry | None = None
-) -> tuple[OfaNet, runconfig.RunConfig]:
-    """Rebuild the net described by the embedded config and load its weights."""
+def load_net(path: str | Path) -> tuple[OfaNet, runconfig.RunConfig]:
+    """Rebuild the net described by the embedded config and load its weights.
+
+    A config, modality id, tensor name or shape that does not fit raises a
+    ValueError naming the path."""
     ckpt = read_checkpoint(path)
-    cfg = runconfig.parse_config(ckpt.config_text)
-    reg = registry if registry is not None else cfg.build_registry()
-    specs = [reg.lookup(mid) for mid in cfg.train.modalities]
-    net = build_ofanet(cfg.train.model_dims(), specs, cfg.train.seed)
-    rebind_parameters(net, ckpt.tensors)
+    try:
+        cfg = runconfig.parse_config(ckpt.config_text)
+        registry = cfg.build_registry()
+        specs = [registry.lookup(mid) for mid in cfg.train.modalities]
+        net = build_ofanet(cfg.train.model_dims(), specs, cfg.train.seed)
+        rebind_parameters(net, ckpt.tensors)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from exc
     return net, cfg

@@ -20,7 +20,6 @@ from . import probe as probe_mod
 from . import synthdata
 from .binread import atomic_write
 from .model import build_ofanet
-from .modalities import ModalityRegistry
 from .runconfig import (
     CLS_TASK,
     RANDOM_INIT,
@@ -67,18 +66,20 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _build_probe_net(args, registry: ModalityRegistry, run_cfg: RunConfig):
-    if args.checkpoint == RANDOM_INIT:
-        train = run_cfg.train
-        specs = [registry.lookup(mid) for mid in train.modalities]
-        return build_ofanet(train.model_dims(), specs, train.seed)
-    net, _ = ckpt.load_net(args.checkpoint, registry=registry)
-    return net
+def _build_probe_net(checkpoint: str, run_cfg: RunConfig):
+    """A checkpoint brings its own config; only a random-init net is built
+    from the probe's run config."""
+    if checkpoint != RANDOM_INIT:
+        net, _ = ckpt.load_net(checkpoint)
+        return net
+    train = run_cfg.train
+    registry = run_cfg.build_registry()
+    specs = [registry.lookup(mid) for mid in train.modalities]
+    return build_ofanet(train.model_dims(), specs, train.seed)
 
 
 def _cmd_probe(args) -> int:
     run_cfg, _ = _read_run_config(args.config)
-    registry = run_cfg.build_registry()
     data = synthdata.load_dataset(args.data)
     task = _TASK_ALIASES[args.task]
     if task == CLS_TASK and data.labels is None:
@@ -95,14 +96,13 @@ def _cmd_probe(args) -> int:
     probe_cfg = run_cfg.probe
     probe_cfg.task = task
     probe_cfg.k_classes = k
-    probe_cfg.checkpoint = args.checkpoint
     if args.lr is not None:
         probe_cfg.lr = args.lr
     if args.epochs is not None:
         probe_cfg.epochs = args.epochs
     probe_cfg.validate()
 
-    net = _build_probe_net(args, registry, run_cfg)
+    net = _build_probe_net(args.checkpoint, run_cfg)
     method = args.method or (RANDOM_INIT if args.checkpoint == RANDOM_INIT else "pretrained")
     if task == CLS_TASK:
         _, report = probe_mod.run_cls_probe(net, data, probe_cfg, method)

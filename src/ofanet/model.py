@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class ModelDims:
     decoder_depth: int = 2
 
     def validate(self) -> None:
+        small = [f.name for f in fields(self) if getattr(self, f.name) < 1]
+        if small:
+            raise ValueError(f"{', '.join(small)} must be >= 1")
         if self.input_size % self.patch_size:
             raise ValueError(
                 f"input_size {self.input_size} not divisible by patch_size {self.patch_size}"
@@ -57,8 +60,6 @@ class ModelDims:
                 raise ValueError(f"{name} {dim} not divisible by heads {self.heads}")
             if dim % 4:
                 raise ValueError(f"{name} {dim} must be divisible by 4 for 2-D sin-cos tables")
-        if min(self.depth, self.decoder_depth) < 1:
-            raise ValueError("depth and decoder_depth must be >= 1")
 
     @property
     def grid(self) -> tuple[int, int]:

@@ -4,17 +4,20 @@ their metrics, and cross-run comparison tables.
 The backbone is never trained here. Features are extracted once, in small
 batches on the model's one forward path (pooled for classification, per
 token for segmentation), cached as plain arrays, and a linear head is fit
-with SGD + momentum on top. Labeled sets are split 80/20 by index into
-head-train and eval halves; reported metrics come from the eval half.
+on top by full-batch gradient descent with momentum, from zero init. Both
+tasks share that one fit: a classification label is a one-hot row, a
+segmentation token the pixel count of each class in its patch. Labeled sets
+are split 80/20 by index into head-train and eval halves; reports carry the
+eval-half metric only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OfaNet, forward_features, forward_tokens
+from .model import OfaNet, forward_features, forward_tokens, patchify
 from .runconfig import CLS_TASK, SEG_TASK, ProbeConfig
 from .seeds import parallel_map
 from .synthdata import LoadedDataset, resize_nearest
@@ -40,7 +43,6 @@ class ProbeReport:
     method: str
     metric: str  # "top1" or "miou"
     value: float
-    extras: dict[str, float] = field(default_factory=dict)
 
     def line(self) -> str:
         """Machine-readable form: task, dataset, method, metric, value."""
@@ -116,69 +118,55 @@ def extract_features(net: OfaNet, images: np.ndarray, modality: str, per_token: 
 
 def _sgd_softmax(
     features: np.ndarray,
-    targets: np.ndarray,
-    k: int,
+    hist: np.ndarray,
     lr: float,
     epochs: int,
-    batch_size: int,
 ) -> LinearHead:
-    """Momentum SGD on softmax cross-entropy; deterministic (zero init,
-    fixed batch order). `targets` is either int labels [n] or per-row class
-    histograms [n, k] (segmentation tokens, one count per covered pixel);
-    the loss is the mean cross-entropy per label unit."""
-    n, d = features.shape
-    if targets.ndim == 1:
-        hist = np.zeros((n, k), dtype=np.float64)
-        hist[np.arange(n), targets] = 1.0
-    else:
-        hist = targets.astype(np.float64)
-    w = np.zeros((d, k), dtype=np.float64)
-    b = np.zeros(k, dtype=np.float64)
+    """Full-batch momentum descent on softmax cross-entropy against per-row
+    class counts `hist` [n, k] (one-hot rows for classification, covered
+    pixels per class for segmentation tokens); the loss is the mean
+    cross-entropy per counted unit. Zero init, so deterministic."""
+    x = features.astype(np.float64)
+    hist = hist.astype(np.float64)
+    w = np.zeros((x.shape[1], hist.shape[1]), dtype=np.float64)
+    b = np.zeros(hist.shape[1], dtype=np.float64)
     vw = np.zeros_like(w)
     vb = np.zeros_like(b)
-    x = features.astype(np.float64)
-    step = batch_size if batch_size > 0 else n
     for _ in range(epochs):
-        for lo in range(0, n, step):
-            xs = x[lo : lo + step]
-            hs = hist[lo : lo + step]
-            logits = xs @ w + b
-            logits -= logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            g = (p * hs.sum(axis=1, keepdims=True) - hs) / max(hs.sum(), 1.0)
-            gw = xs.T @ g
-            gb = g.sum(axis=0)
-            vw = MOMENTUM * vw + gw
-            vb = MOMENTUM * vb + gb
-            w -= lr * vw
-            b -= lr * vb
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        g = (p * hist.sum(axis=1, keepdims=True) - hist) / max(hist.sum(), 1.0)
+        gw = x.T @ g
+        gb = g.sum(axis=0)
+        vw = MOMENTUM * vw + gw
+        vb = MOMENTUM * vb + gb
+        w -= lr * vw
+        b -= lr * vb
     return LinearHead(weight=w, bias=b)
 
 
 def train_linear_cls(features: np.ndarray, labels: np.ndarray, config: ProbeConfig) -> LinearHead:
     """Fit a [d -> k] head on cached pooled features."""
     labels = np.asarray(labels)
-    if labels.max() >= config.k_classes:
+    k = config.k_classes
+    if labels.max() >= k:
         raise ValueError(
-            f"label {int(labels.max())} >= k_classes {config.k_classes}"
+            f"label {int(labels.max())} >= k_classes {k}"
         )
-    return _sgd_softmax(
-        features, labels, config.k_classes, config.resolved_lr, config.epochs, config.batch_size
-    )
+    return _sgd_softmax(features, np.eye(k)[labels], config.resolved_lr, config.epochs)
 
 
 def classify(head: LinearHead, features: np.ndarray) -> np.ndarray:
     return (features @ head.weight + head.bias).argmax(axis=1)
 
 
-def token_label_histograms(masks: np.ndarray, grid: tuple[int, int], patch: int, k: int) -> np.ndarray:
-    """Per-token class pixel counts [n, tokens, k] for [n, h, w] masks."""
-    n = masks.shape[0]
-    gh, gw = grid
-    blocks = masks.reshape(n, gh, patch, gw, patch).transpose(0, 1, 3, 2, 4)
-    blocks = blocks.reshape(n, gh * gw, patch * patch)
-    hist = np.zeros((n, gh * gw, k), dtype=np.int64)
+def token_label_histograms(masks: np.ndarray, patch: int, k: int) -> np.ndarray:
+    """Per-token class pixel counts [n, tokens, k] for [n, h, w] masks, with
+    tokens in `patchify` order."""
+    blocks = patchify(masks[..., None], patch)  # [n, tokens, patch * patch]
+    hist = np.zeros(blocks.shape[:2] + (k,), dtype=np.int64)
     for c in range(k):
         hist[..., c] = (blocks == c).sum(axis=-1)
     return hist
@@ -187,7 +175,6 @@ def token_label_histograms(masks: np.ndarray, grid: tuple[int, int], patch: int,
 def train_linear_seg(
     token_features: np.ndarray,
     masks: np.ndarray,
-    grid: tuple[int, int],
     patch: int,
     config: ProbeConfig,
 ) -> LinearHead:
@@ -195,15 +182,13 @@ def train_linear_seg(
     k = config.k_classes
     if masks.max() >= k:
         raise ValueError(f"mask value {int(masks.max())} >= k_classes {k}")
-    hist = token_label_histograms(masks, grid, patch, k)
+    hist = token_label_histograms(masks, patch, k)
     n, tokens, d = token_features.shape
     return _sgd_softmax(
         token_features.reshape(n * tokens, d),
         hist.reshape(n * tokens, k),
-        k,
         config.resolved_lr,
         config.epochs,
-        config.batch_size,
     )
 
 
@@ -234,7 +219,6 @@ def run_cls_probe(
     feats = extract_features(net, dataset.images, dataset.modality_id)
     train_idx, eval_idx = _split(len(dataset.labels))
     head = train_linear_cls(feats[train_idx], dataset.labels[train_idx], config)
-    train_acc = top1_accuracy(classify(head, feats[train_idx]), dataset.labels[train_idx])
     eval_acc = top1_accuracy(classify(head, feats[eval_idx]), dataset.labels[eval_idx])
     assert 0.0 <= eval_acc <= 1.0
     report = ProbeReport(
@@ -243,7 +227,6 @@ def run_cls_probe(
         method=method,
         metric="top1",
         value=eval_acc,
-        extras={"train_top1": train_acc},
     )
     return head, report
 
@@ -254,18 +237,14 @@ def run_seg_probe(
     if dataset.masks is None:
         raise ValueError("segmentation probe needs a mask-labeled dataset")
     patch = net.dims.patch_size
-    grid = net.dims.grid
     feats = extract_features(net, dataset.images, dataset.modality_id, per_token=True)
     masks = dataset.masks
     if masks.shape[1] != net.dims.input_size:
         masks = resize_nearest(masks, net.dims.input_size)
     train_idx, eval_idx = _split(masks.shape[0])
-    head = train_linear_seg(feats[train_idx], masks[train_idx], grid, patch, config)
-    pred = predict_seg(head, feats[eval_idx], grid, patch)
+    head = train_linear_seg(feats[train_idx], masks[train_idx], patch, config)
+    pred = predict_seg(head, feats[eval_idx], net.dims.grid, patch)
     miou = mean_iou(pred, masks[eval_idx], config.k_classes)
-    train_miou = mean_iou(
-        predict_seg(head, feats[train_idx], grid, patch), masks[train_idx], config.k_classes
-    )
     assert 0.0 <= miou <= 1.0
     report = ProbeReport(
         task=SEG_TASK,
@@ -273,7 +252,6 @@ def run_seg_probe(
         method=method,
         metric="miou",
         value=miou,
-        extras={"train_miou": train_miou},
     )
     return head, report
 

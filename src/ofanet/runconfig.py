@@ -6,6 +6,10 @@ produced it. Unknown sections or keys are rejected; the first offending
 line is reported by number. Blank lines and lines starting with '#' are
 ignored.
 
+`[probe]` holds only what the linear head reads (task, lr, epochs,
+k_classes): heads are fit full batch, and the probed net is chosen on the
+command line.
+
 Reference setting from the source experiments, for the record: 10,000
 samples per modality (50,000 total), 100 pretraining epochs. The desk-scale
 defaults below are the scaled-down stand-in.
@@ -85,9 +89,7 @@ class ProbeConfig:
     task: str = CLS_TASK
     lr: float | None = None  # None -> task default (1e-2 cls, 1e-4 seg)
     epochs: int = 100
-    batch_size: int = 0  # 0 = full batch
     k_classes: int = 4
-    checkpoint: str = RANDOM_INIT
 
     @property
     def resolved_lr(self) -> float:
@@ -102,8 +104,6 @@ class ProbeConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 0:
-            raise ValueError(f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if self.k_classes < 2:
             raise ValueError(f"k_classes must be >= 2, got {self.k_classes}")
 

@@ -67,7 +67,6 @@ class SynthSample:
 
 @dataclass(frozen=True)
 class ClassSignature:
-    class_index: int
     spectral: np.ndarray  # [knots] knot values; base + this class's offset
     texture_passes: int
 
@@ -185,7 +184,7 @@ def class_palette(spec: ModalitySpec, k_classes: int, global_seed: int) -> list[
         angles = 2.0 * math.pi * np.arange(k_classes) / k_classes
         offsets = CLASS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1) @ plane.T
     passes = rng.integers(2, 7, k_classes)
-    return [ClassSignature(i, base + offsets[i], int(passes[i])) for i in range(k_classes)]
+    return [ClassSignature(base + offsets[i], int(passes[i])) for i in range(k_classes)]
 
 
 def _check_classes(k_classes: int) -> None:
@@ -345,6 +344,10 @@ def load_dataset(path: str | Path) -> LoadedDataset:
     rd.finish("sample data")
     # copies: the arrays own their memory and stay writable
     images = np.array(samples["image"], dtype=np.float32, order="C")
+    # a NaN or Inf pixel would flow silently into features, losses and metrics
+    if not np.isfinite(images).all():
+        bad = int(np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))[0])
+        rd.fail(f"sample {bad} has non-finite pixels", start + bad * record)
     labels = samples["label"].astype(np.int64) if kind == LABEL_CLASS else None
     masks = np.array(samples["mask"], order="C") if kind == LABEL_MASK else None
     return LoadedDataset(modality_id, images, labels, masks)

@@ -107,7 +107,6 @@ class PretrainResult:
     net: OfaNet
     log_lines: list[str]
     final_checkpoint: Path | None = None
-    log_path: Path | None = None
 
 
 def _load_streams(
@@ -191,16 +190,13 @@ def pretrain(
         if out_path is not None:
             ckpt.save_net(out_path / f"checkpoint-epoch{epoch:03d}.ofac", net, config_text)
 
-    final_path = log_path = None
+    final_path = None
     if out_path is not None:
         final_path = out_path / "checkpoint-final.ofac"
         ckpt.save_net(final_path, net, config_text)
-        log_path = out_path / "loss.log"
         text = "".join(line + "\n" for line in log_lines).encode("utf-8")
-        atomic_write(log_path, lambda fh: fh.write(text))
-    return PretrainResult(
-        net=net, log_lines=log_lines, final_checkpoint=final_path, log_path=log_path
-    )
+        atomic_write(out_path / "loss.log", lambda fh: fh.write(text))
+    return PretrainResult(net=net, log_lines=log_lines, final_checkpoint=final_path)
 
 
 def _train_step(

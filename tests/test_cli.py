@@ -125,6 +125,26 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
     assert "random-init" in table and "ofa" in table and "delta" in table
 
 
+def test_probe_checkpoint_brings_its_own_modalities(tmp_path, tiny_config_path, capsys):
+    # thermal is declared in the checkpoint's embedded config only, not in
+    # the config the probe runs with
+    thermal_cfg = tmp_path / "thermal.cfg"
+    thermal_cfg.write_text(
+        TINY_CONFIG.replace("modalities = sentinel1, naip", "modalities = sentinel1, thermal")
+        + "\n[modality.thermal]\nchannels = 1\nnative_size = 16\n"
+    )
+    run_dir = tmp_path / "run"
+    assert main(["pretrain", "--config", str(thermal_cfg), "--out-dir", str(run_dir)]) == 0
+    data = tmp_path / "thermal_seg.ofad"
+    assert main(["gen-data", "--modality", "thermal", "--kind", "seg", "--count", "10",
+                 "--seed", "4", "--classes", "2", "--size", "16", "--out", str(data),
+                 "--config", str(thermal_cfg)]) == 0
+    capsys.readouterr()
+    assert main(["probe", "--task", "seg", "--checkpoint", str(run_dir / "checkpoint-final.ofac"),
+                 "--data", str(data), "--config", str(tiny_config_path)]) == 0
+    assert capsys.readouterr().out.startswith("segmentation\tthermal\tpretrained\tmiou\t")
+
+
 def test_probe_task_data_mismatch(tmp_path, tiny_config_path, capsys):
     data = tmp_path / "seg.ofad"
     main(["gen-data", "--modality", "naip", "--kind", "seg", "--count", "8",

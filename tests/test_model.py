@@ -1,5 +1,6 @@
 import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -554,3 +555,66 @@ def test_checkpoint_truncated_anywhere_names_path_and_offset(small_checkpoint, d
     path.write_bytes(full[:cut])
     with pytest.raises(ValueError, match=re.escape(str(path)) + r": truncated OFAC file: .* at byte offset \d+$"):
         ckpt.read_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_ofac(tmp_path_factory):
+    """A loadable OFAC of a one-modality net, and the offsets of its header,
+    config, name, rank and extent bytes (everything but tensor data)."""
+    from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
+
+    cfg = TrainConfig(input_size=8, embed_dim=8, depth=1, heads=2, decoder_embed_dim=4,
+                      decoder_depth=1, modalities=("sentinel1",))
+    net = m.build_ofanet(cfg.model_dims(), [REG.lookup("sentinel1")], cfg.seed)
+    path = tmp_path_factory.mktemp("ofac") / "tiny.ofac"
+    ckpt.save_net(path, net, serialize_config(RunConfig(train=cfg)))
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 6)
+    off = 4 + 2 + 4 + cfg_len + 4
+    structural = list(range(off))
+    for tensor in net.params.values():  # file order
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        head = 4 + name_len + 1 + 4 * tensor.data.ndim
+        structural.extend(range(off, off + head))
+        off += head + 4 * tensor.size
+    assert off == len(raw)
+    return raw, structural
+
+
+def test_checkpoint_bit_flips_load_or_name_the_path(tiny_ofac, tmp_path):
+    # bits 0 and 7 of every non-data byte: a flip may still load (a seed
+    # digit, say), else it must be a ValueError that names the path once
+    raw, structural = tiny_ofac
+    path = tmp_path / "flipped.ofac"
+    for at in structural:
+        for bit in (0, 7):
+            flipped = bytearray(raw)
+            flipped[at] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                ckpt.load_net(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ") and str(exc).count(str(path)) == 1, (at, bit, exc)
+            except Exception as exc:
+                pytest.fail(f"byte {at} bit {bit}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("extents", [[0] * 97, [0] + [2**31] * 3], ids=["97-axes", "2**93-items"])
+def test_checkpoint_shape_beyond_numpy_names_path(tmp_path, extents):
+    # a zero extent makes the data 0 bytes, so no size check stops numpy's
+    # reshape, which takes at most 64 axes and an item count that fits intp
+    body = b"x" + struct.pack(f"<B{len(extents)}I", len(extents), *extents)
+    path = tmp_path / "shape.ofac"
+    path.write_bytes(b"OFAC" + struct.pack("<HII", 1, 0, 1) + struct.pack("<I", 1) + body)
+    data_at = 4 + 2 + 4 + 4 + 4 + len(body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: x data: ") + rf".* at byte offset {data_at}$"):
+        ckpt.read_checkpoint(path)
+
+
+def test_load_net_rejects_old_probe_keys_with_path_and_line(tmp_path):
+    # config text written before the [probe] batch_size and checkpoint keys were removed
+    net = build_net(("sentinel1",))
+    path = tmp_path / "old.ofac"
+    ckpt.save_net(path, net, "[train]\nmodalities = sentinel1\n\n[probe]\nbatch_size = 0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: unknown key 'batch_size' in section [probe]")):
+        ckpt.load_net(path)

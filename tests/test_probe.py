@@ -150,6 +150,19 @@ def test_head_training_deterministic():
     np.testing.assert_array_equal(h1.bias, h2.bias)
 
 
+def test_token_label_histograms_follow_patchify_order():
+    # a 2x3 token grid, so swapped grid axes would show
+    masks = np.random.default_rng(4).integers(0, 3, (2, 8, 12)).astype(np.uint8)
+    hist = probe.token_label_histograms(masks, 4, 3)
+    assert hist.shape == (2, 6, 3)
+    for i in range(2):
+        for ti in range(2):
+            for tj in range(3):
+                block = masks[i, ti * 4 : ti * 4 + 4, tj * 4 : tj * 4 + 4]
+                np.testing.assert_array_equal(hist[i, ti * 3 + tj], np.bincount(block.ravel(), minlength=3))
+    np.testing.assert_array_equal(hist.sum(axis=-1), 16)
+
+
 def test_predict_seg_broadcasts_token_blocks():
     head = LinearHead(weight=np.eye(3, 2), bias=np.zeros(2))
     feats = np.zeros((1, 4, 3))

@@ -120,19 +120,25 @@ def test_serialize_config_text_is_pinned():
         "samples_per_modality = 512\nbatch_size = 16\nepochs = 30\nbase_lr = 0.00015\n"
         "weight_decay = 0.05\nwarmup_fraction = 0.05\n"
         "modalities = sentinel1, sentinel2, gaofen, naip, enmap\ndata_dir = \n"
-        "\n[probe]\ntask = classification\nepochs = 100\nbatch_size = 0\nk_classes = 4\n"
-        "checkpoint = random-init\n"
+        "\n[probe]\ntask = classification\nepochs = 100\nk_classes = 4\n"
     )
     cfg = parse_config(
         "[train]\nseed = 1\n\n[probe]\nlr = 0.001\n\n"
         "[modality.enmap]\nnative_size = 32\n\n[modality.thermal]\nchannels = 1\nnative_size = 64\n"
     )
     assert serialize_config(cfg).endswith(
-        "checkpoint = random-init\n"
+        "k_classes = 4\n"
         "\n[modality.enmap]\nchannels = 224\nnative_size = 32\ngsd_meters = 30.0\ncorpus_count = 11483\n"
         "\n[modality.thermal]\nchannels = 1\nnative_size = 64\ngsd_meters = 0.0\ncorpus_count = 0\n"
     )
     assert "\nlr = 0.001\n" in serialize_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["batch_size = 0", "checkpoint = random-init"])
+def test_removed_probe_keys_rejected(key):
+    # heads are fit full batch, and the probed net comes from the command line
+    with pytest.raises(ConfigError, match=f"line 2: unknown key '{key.split()[0]}' in section \\[probe\\]"):
+        parse_config(f"[probe]\n{key}\n")
 
 
 def test_roundtrip_default_config():
@@ -169,3 +175,11 @@ def test_train_config_validation_direct():
         TrainConfig(modalities=("naip", "naip")).validate()
     with pytest.raises(ValueError, match="heads"):
         TrainConfig(embed_dim=30).validate()
+
+
+@pytest.mark.parametrize("key", ["heads", "patch_size", "embed_dim"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_model_dims_below_one_rejected_at_their_line(key, value):
+    # checked before the divisibility checks, which divide by heads and patch_size
+    with pytest.raises(ConfigError, match=f"line 2: {key} must be >= 1"):
+        parse_config(f"[train]\n{key} = {value}\n")

@@ -274,3 +274,41 @@ def test_ofad_rejects_corrupt_header(small_ofad_files, at, value, message):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         sd.load_dataset(path)
+
+
+def test_ofad_header_bit_flips_load_or_name_the_path(small_ofad_files):
+    # every bit of every header byte, for each label kind
+    full, where = small_ofad_files
+    path = where / "flipped.ofad"
+    for kind, raw in full.items():
+        for at in range(_KIND_AT + 1):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[at] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    sd.load_dataset(path)
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{path}: "), (kind, at, bit, exc)
+                except Exception as exc:
+                    pytest.fail(f"{kind} byte {at} bit {bit}: {type(exc).__name__}: {exc}")
+
+
+def test_ofad_empty_set_loads(tmp_path):
+    path = tmp_path / "empty.ofad"
+    sd.save_dataset(path, sd.LoadedDataset("sentinel1", np.zeros((0, 8, 8, 2), dtype=np.float32)))
+    assert sd.load_dataset(path).images.shape == (0, 8, 8, 2)
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ofad_rejects_non_finite_pixels_with_sample_index(small_ofad_files, kind, value):
+    full, where = small_ofad_files
+    loaded = sd.load_dataset(where / f"{kind}.ofad")
+    loaded.images[2, 5, 1, 1] = value
+    path = where / "non_finite.ofad"
+    sd.save_dataset(path, loaded)
+    record = 4 * 8 * 8 * 2 + {"pretrain": 0, "cls": 2, "seg": 8 * 8}[kind]
+    at = _KIND_AT + 1 + 2 * record
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample 2 has non-finite pixels at byte offset {at}")):
+        sd.load_dataset(path)

@@ -245,7 +245,9 @@ def test_pretrain_stops_on_non_finite_loss(tmp_path):
     for mid in ("sentinel1", "naip"):
         ds = stack_samples(mid, gen_pretrain_stream(reg.lookup(mid), 11, 32, size=16))
         if mid == "naip":
-            ds.images[:, 3, 5, 0] = np.nan  # one pixel per image
+            # finite, so the reader takes it, but one patch per image of it
+            # overflows the float32 forward
+            ds.images[:, :4, :4, 0] = np.finfo(np.float32).max
         save_dataset(tmp_path / f"pretrain_{mid}.ofad", ds)
     # round robin: step 0 is sentinel1, step 1 the first naip batch
     with pytest.raises(FloatingPointError, match=r"non-finite loss nan at global step 1 \(modality naip\)"):
