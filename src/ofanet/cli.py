@@ -24,6 +24,7 @@ from .runconfig import (
     CLS_TASK,
     RANDOM_INIT,
     SEG_TASK,
+    ProbeConfig,
     RunConfig,
     parse_config,
     serialize_config,
@@ -66,12 +67,13 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _build_probe_net(checkpoint: str, run_cfg: RunConfig):
+def _build_probe_net(checkpoint: str, config: str | None):
     """A checkpoint brings its own config; only a random-init net is built
-    from the probe's run config."""
+    from --config."""
     if checkpoint != RANDOM_INIT:
         net, _ = ckpt.load_net(checkpoint)
         return net
+    run_cfg, _ = _read_run_config(config)
     train = run_cfg.train
     registry = run_cfg.build_registry()
     specs = [registry.lookup(mid) for mid in train.modalities]
@@ -79,7 +81,6 @@ def _build_probe_net(checkpoint: str, run_cfg: RunConfig):
 
 
 def _cmd_probe(args) -> int:
-    run_cfg, _ = _read_run_config(args.config)
     data = synthdata.load_dataset(args.data)
     task = _TASK_ALIASES[args.task]
     if task == CLS_TASK and data.labels is None:
@@ -93,16 +94,10 @@ def _cmd_probe(args) -> int:
     else:
         k = int(data.masks.max()) + 1
 
-    probe_cfg = run_cfg.probe
-    probe_cfg.task = task
-    probe_cfg.k_classes = k
-    if args.lr is not None:
-        probe_cfg.lr = args.lr
-    if args.epochs is not None:
-        probe_cfg.epochs = args.epochs
+    probe_cfg = ProbeConfig(task=task, lr=args.lr, epochs=args.epochs, k_classes=k)
     probe_cfg.validate()
 
-    net = _build_probe_net(args.checkpoint, run_cfg)
+    net = _build_probe_net(args.checkpoint, args.config)
     method = args.method or (RANDOM_INIT if args.checkpoint == RANDOM_INIT else "pretrained")
     if task == CLS_TASK:
         _, report = probe_mod.run_cls_probe(net, data, probe_cfg, method)
@@ -170,10 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--task", required=True, choices=sorted(_TASK_ALIASES))
     b.add_argument("--checkpoint", required=True, help=f"OFAC path or {RANDOM_INIT!r}")
     b.add_argument("--data", required=True, help="labeled OFAD file")
-    b.add_argument("--lr", type=float, default=None)
-    b.add_argument("--epochs", type=int, default=None)
+    b.add_argument("--lr", type=float, default=None, help="head lr (default: 1e-2 cls, 1e-4 seg)")
+    b.add_argument("--epochs", type=int, default=ProbeConfig.epochs)
     b.add_argument("--classes", type=int, default=0, help="class count (default: from data)")
-    b.add_argument("--config", default=None)
+    b.add_argument("--config", default=None, help=f"run config for the {RANDOM_INIT!r} net")
     b.add_argument("--method", default=None, help="method label for reports")
     b.add_argument("--out", default=None, help="append the report line to this file")
     b.set_defaults(fn=_cmd_probe)

@@ -1,9 +1,9 @@
-"""Registry of sensor modalities: the single source of truth for channel
-counts and native sizes used by embedders, decoders, and the data generator.
+"""Registry of sensor modalities: the single source of truth for the channel
+counts used by embedders, decoders, and the data generator.
 
 Five modalities ship builtin; anything else can be registered at runtime or
-through the run config. gsd_meters and corpus_count are inert metadata kept
-for reports; desk-scale runs never materialize the real corpora.
+through the run config. Every image is resized to the run's input_size, so a
+spec carries no native size (the README records the paper's sensor scales).
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 class ModalitySpec:
     id: str
     channels: int
-    native_size: int
-    gsd_meters: float = 0.0
-    corpus_count: int = 0
 
     def validate(self) -> None:
         if not self.id or "." in self.id:
@@ -25,20 +22,16 @@ class ModalitySpec:
             raise ValueError(f"modality id must be non-empty and dot-free, got {self.id!r}")
         if self.channels < 1:
             raise ValueError(f"modality {self.id!r}: channels must be >= 1, got {self.channels}")
-        if self.native_size < 16:
-            raise ValueError(
-                f"modality {self.id!r}: native_size must be >= 16, got {self.native_size}"
-            )
 
 
 def builtin_modalities() -> list[ModalitySpec]:
     """The five builtin sensors, in canonical order."""
     return [
-        ModalitySpec("sentinel1", channels=2, native_size=512, gsd_meters=5.0, corpus_count=4_642_353),
-        ModalitySpec("sentinel2", channels=9, native_size=512, gsd_meters=10.0, corpus_count=977_774),
-        ModalitySpec("gaofen", channels=4, native_size=512, gsd_meters=4.0, corpus_count=117_450),
-        ModalitySpec("naip", channels=3, native_size=512, gsd_meters=1.0, corpus_count=2_332_351),
-        ModalitySpec("enmap", channels=224, native_size=128, gsd_meters=30.0, corpus_count=11_483),
+        ModalitySpec("sentinel1", channels=2),
+        ModalitySpec("sentinel2", channels=9),
+        ModalitySpec("gaofen", channels=4),
+        ModalitySpec("naip", channels=3),
+        ModalitySpec("enmap", channels=224),
     ]
 
 

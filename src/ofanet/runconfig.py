@@ -1,14 +1,12 @@
 """Flat key = value run-config documents with section headers.
 
-One document drives every subcommand, and the pretrainer embeds it verbatim
-in checkpoints, so a checkpoint always carries the exact settings that
-produced it. Unknown sections or keys are rejected; the first offending
-line is reported by number. Blank lines and lines starting with '#' are
-ignored.
-
-`[probe]` holds only what the linear head reads (task, lr, epochs,
-k_classes): heads are fit full batch, and the probed net is chosen on the
-command line.
+A document describes one pretraining run: a `[train]` section and any
+`[modality.<id>]` sections, each with the one key `channels`. The pretrainer
+embeds it verbatim in checkpoints, so a checkpoint always carries the exact
+settings that produced it. Unknown sections or keys are rejected; the first
+offending line is reported by number. Blank lines and lines starting with
+'#' are ignored. A linear probe's ProbeConfig comes from `ofanet probe`'s
+flags and its data, never from a document.
 
 Reference setting from the source experiments, for the record: 10,000
 samples per modality (50,000 total), 100 pretraining epochs. The desk-scale
@@ -111,7 +109,6 @@ class ProbeConfig:
 @dataclass
 class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
     modality_overrides: tuple[ModalitySpec, ...] = ()
 
     def build_registry(self) -> ModalityRegistry:
@@ -126,7 +123,6 @@ class RunConfig:
 _PARSE_TYPES: dict[str, type] = {
     "int": int,
     "float": float,
-    "float | None": float,
     "str": str,
     "tuple[str, ...]": tuple,
 }
@@ -138,7 +134,6 @@ def _schema(cls) -> dict[str, type]:
 
 
 _TRAIN_SCHEMA = _schema(TrainConfig)
-_PROBE_SCHEMA = _schema(ProbeConfig)
 _MODALITY_SCHEMA = _schema(ModalitySpec)
 
 
@@ -164,7 +159,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config text is empty")
     section: str | None = None
     train_vals: dict[str, Any] = {}
-    probe_vals: dict[str, Any] = {}
     modality_vals: dict[str, dict[str, Any]] = {}
     key_lines: dict[tuple[str, str], int] = {}
 
@@ -174,7 +168,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section in ("train", "probe"):
+            if section == "train":
                 continue
             if section.startswith("modality.") and len(section) > len("modality."):
                 modality_vals.setdefault(section[len("modality."):], {})
@@ -189,8 +183,6 @@ def parse_config(text: str) -> RunConfig:
         value = raw_value.strip()
         if section == "train":
             schema, target = _TRAIN_SCHEMA, train_vals
-        elif section == "probe":
-            schema, target = _PROBE_SCHEMA, probe_vals
         else:
             schema, target = _MODALITY_SCHEMA, modality_vals[section[len("modality."):]]
         if key not in schema:
@@ -201,18 +193,13 @@ def parse_config(text: str) -> RunConfig:
         key_lines[(section, key)] = lineno
 
     train = replace(TrainConfig(), **train_vals)
-    probe = replace(ProbeConfig(), **probe_vals)
-    builtins = {spec.id: spec for spec in builtin_modalities()}
     overrides = []
     for mid, vals in modality_vals.items():
-        builtin = builtins.get(mid)
-        base = {key: getattr(builtin, key) for key in _MODALITY_SCHEMA} if builtin else {}
-        merged = {**base, **vals}
-        if "channels" not in merged or "native_size" not in merged:
-            raise ConfigError(f"[modality.{mid}] needs channels and native_size")
-        overrides.append(ModalitySpec(id=mid, **merged))
+        if "channels" not in vals:
+            raise ConfigError(f"[modality.{mid}] needs channels")
+        overrides.append(ModalitySpec(id=mid, **vals))
 
-    cfg = RunConfig(train=train, probe=probe, modality_overrides=tuple(overrides))
+    cfg = RunConfig(train=train, modality_overrides=tuple(overrides))
     _validate(cfg, key_lines)
     return cfg
 
@@ -231,22 +218,19 @@ def _validate(cfg: RunConfig, key_lines: dict[tuple[str, str], int]) -> None:
             raise ConfigError(str(exc), line) from None
 
     run("train", cfg.train.validate)
-    run("probe", cfg.probe.validate)
     for spec in cfg.modality_overrides:
         run(f"modality.{spec.id}", spec.validate)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(t))) == parse(t)."""
-    sections = [("train", cfg.train, _TRAIN_SCHEMA), ("probe", cfg.probe, _PROBE_SCHEMA)]
+    sections = [("train", cfg.train, _TRAIN_SCHEMA)]
     sections += [(f"modality.{spec.id}", spec, _MODALITY_SCHEMA) for spec in cfg.modality_overrides]
     blocks = []
     for name, values, schema in sections:
         lines = [f"[{name}]"]
         for key in schema:
-            value = getattr(values, key)
-            if value is not None:  # an unset probe lr means the task default
-                lines.append(f"{key} = {_format(value)}")
+            lines.append(f"{key} = {_format(getattr(values, key))}")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

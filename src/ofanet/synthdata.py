@@ -285,7 +285,7 @@ class LoadedDataset:
 
 
 def stack_samples(modality_id: str, samples: list[SynthSample]) -> LoadedDataset:
-    images = np.stack([s.image for s in samples]).astype(np.float32)
+    images = np.stack([s.image for s in samples], dtype=np.float32)
     labels = masks = None
     if samples and samples[0].label is not None:
         labels = np.array([s.label for s in samples], dtype=np.int64)

@@ -30,7 +30,7 @@ from . import ndtensor as ndt
 from . import synthdata
 from .binread import atomic_write
 from .model import OfaNet, build_ofanet, mim_forward_batch, named_parameters
-from .modalities import ModalityRegistry, default_registry
+from .modalities import ModalityRegistry, ModalitySpec, default_registry
 from .runconfig import RunConfig, TrainConfig, serialize_config
 from .seeds import derive_seed, generator
 
@@ -110,12 +110,12 @@ class PretrainResult:
 
 
 def _load_streams(
-    config: TrainConfig, registry: ModalityRegistry
+    config: TrainConfig, specs: list[ModalitySpec]
 ) -> dict[str, np.ndarray]:
     """[n, s, s, c] image stack per modality, synthesized or file-backed."""
     streams: dict[str, np.ndarray] = {}
-    for mid in config.modalities:
-        spec = registry.lookup(mid)
+    for spec in specs:
+        mid = spec.id
         if config.data_dir:
             path = Path(config.data_dir) / f"pretrain_{mid}.ofad"
             if not path.exists():
@@ -151,13 +151,11 @@ def pretrain(
     is given and returns the loss log (one tab-separated line per step)."""
     config.validate()
     registry = registry if registry is not None else default_registry()
-    for mid in config.modalities:
-        registry.lookup(mid)  # raises for unregistered ids
+    specs = [registry.lookup(mid) for mid in config.modalities]  # raises for unregistered ids
     if config_text is None:
         config_text = serialize_config(RunConfig(train=config))
 
-    streams = _load_streams(config, registry)
-    specs = [registry.lookup(mid) for mid in config.modalities]
+    streams = _load_streams(config, specs)
     net = build_ofanet(config.model_dims(), specs, config.seed)
 
     steps_per_mod = config.samples_per_modality // config.batch_size

@@ -4,9 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from ofanet import synthdata
+from ofanet import cli, synthdata
 from ofanet.binread import atomic_write
 from ofanet.cli import main
+from ofanet.runconfig import CLS_TASK, SEG_TASK, ProbeConfig
 
 
 TINY_CONFIG = """\
@@ -23,10 +24,8 @@ samples_per_modality = 32
 batch_size = 16
 epochs = 1
 modalities = sentinel1, naip
-
-[probe]
-epochs = 30
 """
+PROBE_EPOCHS = ["--epochs", "30"]
 
 
 @pytest.fixture()
@@ -102,7 +101,7 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
     lines_file = tmp_path / "reports.txt"
     assert main(["probe", "--task", "cls", "--checkpoint", "random-init",
                  "--data", str(data), "--config", str(tiny_config_path),
-                 "--out", str(lines_file)]) == 0
+                 "--out", str(lines_file)] + PROBE_EPOCHS) == 0
     out = capsys.readouterr().out.strip()
     task, dataset, method, metric, value = out.split("\t")
     assert (task, dataset, method, metric) == ("classification", "naip", "random-init", "top1")
@@ -110,7 +109,7 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
 
     assert main(["probe", "--task", "cls", "--checkpoint", str(final),
                  "--data", str(data), "--config", str(tiny_config_path),
-                 "--method", "ofa", "--out", str(lines_file)]) == 0
+                 "--method", "ofa", "--out", str(lines_file)] + PROBE_EPOCHS) == 0
     capsys.readouterr()
     assert len(lines_file.read_text().splitlines()) == 2
 
@@ -131,7 +130,7 @@ def test_probe_checkpoint_brings_its_own_modalities(tmp_path, tiny_config_path, 
     thermal_cfg = tmp_path / "thermal.cfg"
     thermal_cfg.write_text(
         TINY_CONFIG.replace("modalities = sentinel1, naip", "modalities = sentinel1, thermal")
-        + "\n[modality.thermal]\nchannels = 1\nnative_size = 16\n"
+        + "\n[modality.thermal]\nchannels = 1\n"
     )
     run_dir = tmp_path / "run"
     assert main(["pretrain", "--config", str(thermal_cfg), "--out-dir", str(run_dir)]) == 0
@@ -141,7 +140,7 @@ def test_probe_checkpoint_brings_its_own_modalities(tmp_path, tiny_config_path, 
                  "--config", str(thermal_cfg)]) == 0
     capsys.readouterr()
     assert main(["probe", "--task", "seg", "--checkpoint", str(run_dir / "checkpoint-final.ofac"),
-                 "--data", str(data), "--config", str(tiny_config_path)]) == 0
+                 "--data", str(data), "--config", str(tiny_config_path)] + PROBE_EPOCHS) == 0
     assert capsys.readouterr().out.startswith("segmentation\tthermal\tpretrained\tmiou\t")
 
 
@@ -154,6 +153,32 @@ def test_probe_task_data_mismatch(tmp_path, tiny_config_path, capsys):
                "--data", str(data), "--config", str(tiny_config_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, flags, expected",
+    [
+        ("cls", [], ProbeConfig(CLS_TASK, lr=None, epochs=100, k_classes=3)),
+        ("seg", [], ProbeConfig(SEG_TASK, lr=None, epochs=100, k_classes=2)),
+        ("cls", ["--lr", "0.5", "--epochs", "7", "--classes", "5"], ProbeConfig(CLS_TASK, 0.5, 7, 5)),
+    ],
+)
+def test_probe_flags_and_data_make_the_probe_config(tmp_path, capsys, monkeypatch, kind, flags, expected):
+    # the probe config comes from the flags and the data alone; unset --lr
+    # means the task default and unset --epochs ProbeConfig's 100
+    data = tmp_path / f"{kind}.ofad"
+    assert main(["gen-data", "--modality", "naip", "--kind", kind, "--count", "12", "--seed", "1",
+                 "--classes", "3" if kind == "cls" else "2", "--size", "16", "--out", str(data)]) == 0
+    seen = []
+
+    def fake_probe(net, dataset, config, method):
+        seen.append(config)
+        return None, cli.probe_mod.ProbeReport(config.task, "naip", method, "top1", 0.5)
+
+    monkeypatch.setattr(cli.probe_mod, "run_cls_probe", fake_probe)
+    monkeypatch.setattr(cli.probe_mod, "run_seg_probe", fake_probe)
+    assert main(["probe", "--task", kind, "--checkpoint", "random-init", "--data", str(data)] + flags) == 0
+    assert seen == [expected]
 
 
 def test_bad_config_reports_line(tmp_path, capsys):

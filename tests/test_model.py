@@ -611,10 +611,14 @@ def test_checkpoint_shape_beyond_numpy_names_path(tmp_path, extents):
         ckpt.read_checkpoint(path)
 
 
-def test_load_net_rejects_old_probe_keys_with_path_and_line(tmp_path):
-    # config text written before the [probe] batch_size and checkpoint keys were removed
-    net = build_net(("sentinel1",))
+def test_load_net_rejects_parent_format_checkpoint_with_path_and_line(tmp_path):
+    # config text as written while the run config still had a [probe] section:
+    # the 17 [train] keys, a blank line, then [probe] at line 20
+    from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
+
+    text = serialize_config(RunConfig(train=TrainConfig(modalities=("sentinel1",))))
+    text += "\n[probe]\ntask = classification\nepochs = 100\nk_classes = 4\n"
     path = tmp_path / "old.ofac"
-    ckpt.save_net(path, net, "[train]\nmodalities = sentinel1\n\n[probe]\nbatch_size = 0\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: unknown key 'batch_size' in section [probe]")):
+    ckpt.save_net(path, build_net(("sentinel1",)), text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 20: unknown section [probe]")):
         ckpt.load_net(path)

@@ -1,7 +1,6 @@
 import pytest
 
 from ofanet.runconfig import (
-    CLS_TASK,
     ConfigError,
     ProbeConfig,
     RunConfig,
@@ -30,8 +29,6 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.train.modalities == (
         "sentinel1", "sentinel2", "gaofen", "naip", "enmap",
     )
-    assert cfg.probe.task == CLS_TASK
-    assert cfg.probe.resolved_lr == 1e-2
 
 
 def test_probe_lr_defaults_by_task():
@@ -97,13 +94,8 @@ def test_roundtrip_parse_serialize_parse():
         "base_lr = 0.004\n"
         "modalities = sentinel1, naip\n"
         "\n"
-        "[probe]\n"
-        "task = segmentation\n"
-        "lr = 0.0001\n"
-        "\n"
         "[modality.thermal]\n"
         "channels = 1\n"
-        "native_size = 64\n"
     )
     cfg = parse_config(text)
     assert cfg.train.modalities == ("sentinel1", "naip")
@@ -120,25 +112,34 @@ def test_serialize_config_text_is_pinned():
         "samples_per_modality = 512\nbatch_size = 16\nepochs = 30\nbase_lr = 0.00015\n"
         "weight_decay = 0.05\nwarmup_fraction = 0.05\n"
         "modalities = sentinel1, sentinel2, gaofen, naip, enmap\ndata_dir = \n"
-        "\n[probe]\ntask = classification\nepochs = 100\nk_classes = 4\n"
     )
     cfg = parse_config(
-        "[train]\nseed = 1\n\n[probe]\nlr = 0.001\n\n"
-        "[modality.enmap]\nnative_size = 32\n\n[modality.thermal]\nchannels = 1\nnative_size = 64\n"
+        "[train]\nseed = 1\n\n"
+        "[modality.enmap]\nchannels = 32\n\n[modality.thermal]\nchannels = 1\n"
     )
     assert serialize_config(cfg).endswith(
-        "k_classes = 4\n"
-        "\n[modality.enmap]\nchannels = 224\nnative_size = 32\ngsd_meters = 30.0\ncorpus_count = 11483\n"
-        "\n[modality.thermal]\nchannels = 1\nnative_size = 64\ngsd_meters = 0.0\ncorpus_count = 0\n"
+        "data_dir = \n"
+        "\n[modality.enmap]\nchannels = 32\n"
+        "\n[modality.thermal]\nchannels = 1\n"
     )
-    assert "\nlr = 0.001\n" in serialize_config(cfg)
 
 
-@pytest.mark.parametrize("key", ["batch_size = 0", "checkpoint = random-init"])
-def test_removed_probe_keys_rejected(key):
-    # heads are fit full batch, and the probed net comes from the command line
-    with pytest.raises(ConfigError, match=f"line 2: unknown key '{key.split()[0]}' in section \\[probe\\]"):
-        parse_config(f"[probe]\n{key}\n")
+def test_probe_section_rejected_at_its_line():
+    # probe settings come from `ofanet probe`'s flags, not from the run config
+    with pytest.raises(ConfigError, match=r"^line 3: unknown section \[probe\]$"):
+        parse_config("[train]\nseed = 1\n[probe]\nepochs = 30\n")
+
+
+@pytest.mark.parametrize("key", ["native_size = 64", "gsd_meters = 1.0", "corpus_count = 10"])
+def test_modality_metadata_keys_rejected_at_their_line(key):
+    name = key.split()[0]
+    with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{name}' in section \[modality\.naip\]$"):
+        parse_config(f"[modality.naip]\nchannels = 3\n{key}\n")
+
+
+def test_modality_section_needs_channels():
+    with pytest.raises(ConfigError, match=r"\[modality\.thermal\] needs channels"):
+        parse_config("[train]\nseed = 1\n\n[modality.thermal]\n")
 
 
 def test_roundtrip_default_config():
@@ -147,15 +148,14 @@ def test_roundtrip_default_config():
 
 
 def test_modality_override_replaces_builtin():
-    cfg = parse_config("[train]\nseed = 1\n\n[modality.naip]\nchannels = 3\nnative_size = 64\n")
+    cfg = parse_config("[train]\nseed = 1\n\n[modality.naip]\nchannels = 5\n")
     reg = cfg.build_registry()
-    assert reg.lookup("naip").native_size == 64
-    # untouched builtin fields inherited
-    assert reg.lookup("naip").gsd_meters == 1.0
+    assert reg.lookup("naip").channels == 5
+    assert reg.lookup("sentinel1").channels == 2
 
 
 def test_modality_override_registers_new():
-    cfg = parse_config("[train]\nseed = 1\n\n[modality.thermal]\nchannels = 1\nnative_size = 64\n")
+    cfg = parse_config("[train]\nseed = 1\n\n[modality.thermal]\nchannels = 1\n")
     reg = cfg.build_registry()
     assert reg.lookup("thermal").channels == 1
     assert reg.lookup("sentinel1").channels == 2
@@ -163,7 +163,7 @@ def test_modality_override_registers_new():
 
 def test_modality_override_invalid_channels():
     with pytest.raises(ConfigError, match="channels"):
-        parse_config("[train]\nseed = 1\n\n[modality.bad]\nchannels = 0\nnative_size = 64\n")
+        parse_config("[train]\nseed = 1\n\n[modality.bad]\nchannels = 0\n")
 
 
 def test_train_config_validation_direct():

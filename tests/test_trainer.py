@@ -190,7 +190,7 @@ def test_pretrain_deterministic_and_thread_independent(monkeypatch):
 
 
 def test_pretrain_loss_invariant_to_registration_order():
-    extra = ModalitySpec("thermal", channels=1, native_size=64)
+    extra = ModalitySpec("thermal", channels=1)
     reg_a = ModalityRegistry(builtin_modalities() + [extra])
     reg_b = ModalityRegistry([extra] + builtin_modalities())
     a = pretrain(tiny_config(), registry=reg_a)
