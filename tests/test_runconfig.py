@@ -130,6 +130,13 @@ def test_probe_section_rejected_at_its_line():
         parse_config("[train]\nseed = 1\n[probe]\nepochs = 30\n")
 
 
+@pytest.mark.parametrize("key", ["batch_size = 0", "checkpoint = random-init"])
+def test_removed_probe_keys_rejected(key):
+    # a config still carrying the old probe keys fails on their section, before any key
+    with pytest.raises(ConfigError, match=r"^line 1: unknown section \[probe\]$"):
+        parse_config(f"[probe]\n{key}\n")
+
+
 @pytest.mark.parametrize("key", ["native_size = 64", "gsd_meters = 1.0", "corpus_count = 10"])
 def test_modality_metadata_keys_rejected_at_their_line(key):
     name = key.split()[0]
