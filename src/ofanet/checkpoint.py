@@ -1,12 +1,13 @@
-"""OFAC checkpoint files: named float32 tensors plus the run config verbatim.
+"""OFAC checkpoint files: named float32 tensors plus the run config text.
 
 Layout, all little-endian: magic "OFAC", u16 version, u32 config length +
 utf-8 config text, u32 tensor count, then per tensor: u32 name length +
 name, u8 rank, one u32 extent per axis, raw f32 data. Fixed sin-cos tables
 are rebuilt from the config at load time and never stored.
 
-A checkpoint describes itself: `load_net` builds the net, `[modality.*]`
-overrides included, from the embedded config alone.
+A checkpoint describes itself: its config text is the canonical
+serialization of the config its net was built from, and `load_net` rebuilds
+the net, `[modality.*]` overrides included, from that text alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import runconfig
 from .binread import BinaryReader, atomic_write
-from .model import OfaNet, build_ofanet, named_parameters, rebind_parameters
+from .model import OfaNet, named_parameters, rebind_parameters
 
 _MAGIC = b"OFAC"
 _VERSION = 1
@@ -91,9 +92,7 @@ def load_net(path: str | Path) -> tuple[OfaNet, runconfig.RunConfig]:
     ckpt = read_checkpoint(path)
     try:
         cfg = runconfig.parse_config(ckpt.config_text)
-        registry = cfg.build_registry()
-        specs = [registry.lookup(mid) for mid in cfg.train.modalities]
-        net = build_ofanet(cfg.train.model_dims(), specs, cfg.train.seed)
+        net = cfg.build_net()
         rebind_parameters(net, ckpt.tensors)
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from exc

@@ -19,7 +19,6 @@ from . import checkpoint as ckpt
 from . import probe as probe_mod
 from . import synthdata
 from .binread import atomic_write
-from .model import build_ofanet
 from .runconfig import (
     CLS_TASK,
     RANDOM_INIT,
@@ -27,23 +26,20 @@ from .runconfig import (
     ProbeConfig,
     RunConfig,
     parse_config,
-    serialize_config,
 )
 from .trainer import pretrain
 
 _TASK_ALIASES = {"cls": CLS_TASK, "seg": SEG_TASK, CLS_TASK: CLS_TASK, SEG_TASK: SEG_TASK}
 
 
-def _read_run_config(path: str | None) -> tuple[RunConfig, str]:
+def _read_run_config(path: str | None) -> RunConfig:
     if path is None:
-        cfg = RunConfig()
-        return cfg, serialize_config(cfg)
-    text = Path(path).read_text()
-    return parse_config(text), text
+        return RunConfig()
+    return parse_config(Path(path).read_text())
 
 
 def _cmd_gen_data(args) -> int:
-    cfg, _ = _read_run_config(args.config)
+    cfg = _read_run_config(args.config)
     registry = cfg.build_registry()
     spec = registry.lookup(args.modality)
     size = args.size if args.size else cfg.train.input_size
@@ -59,25 +55,12 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg, text = _read_run_config(args.config)
-    result = pretrain(cfg.train, registry=cfg.build_registry(), out_dir=args.out_dir, config_text=text)
+    cfg = _read_run_config(args.config)
+    result = pretrain(cfg.train, registry=cfg.build_registry(), out_dir=args.out_dir)
     last = result.log_lines[-1] if result.log_lines else "no steps"
     print(f"pretrained {len(result.log_lines)} steps; final checkpoint {result.final_checkpoint}")
     print(f"last step: {last}")
     return 0
-
-
-def _build_probe_net(checkpoint: str, config: str | None):
-    """A checkpoint brings its own config; only a random-init net is built
-    from --config."""
-    if checkpoint != RANDOM_INIT:
-        net, _ = ckpt.load_net(checkpoint)
-        return net
-    run_cfg, _ = _read_run_config(config)
-    train = run_cfg.train
-    registry = run_cfg.build_registry()
-    specs = [registry.lookup(mid) for mid in train.modalities]
-    return build_ofanet(train.model_dims(), specs, train.seed)
 
 
 def _cmd_probe(args) -> int:
@@ -97,7 +80,10 @@ def _cmd_probe(args) -> int:
     probe_cfg = ProbeConfig(task=task, lr=args.lr, epochs=args.epochs, k_classes=k)
     probe_cfg.validate()
 
-    net = _build_probe_net(args.checkpoint, args.config)
+    if args.checkpoint == RANDOM_INIT:
+        net = _read_run_config(args.config).build_net()
+    else:
+        net, _ = ckpt.load_net(args.checkpoint)  # a checkpoint brings its own config
     method = args.method or (RANDOM_INIT if args.checkpoint == RANDOM_INIT else "pretrained")
     if task == CLS_TASK:
         _, report = probe_mod.run_cls_probe(net, data, probe_cfg, method)

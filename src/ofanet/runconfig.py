@@ -1,12 +1,15 @@
 """Flat key = value run-config documents with section headers.
 
 A document describes one pretraining run: a `[train]` section and any
-`[modality.<id>]` sections, each with the one key `channels`. The pretrainer
-embeds it verbatim in checkpoints, so a checkpoint always carries the exact
-settings that produced it. Unknown sections or keys are rejected; the first
-offending line is reported by number. Blank lines and lines starting with
-'#' are ignored. A linear probe's ProbeConfig comes from `ofanet probe`'s
-flags and its data, never from a document.
+`[modality.<id>]` sections, each with the one key `channels`.
+`RunConfig.build_net` is the one recipe from a run config to its net. A
+checkpoint carries the canonical serialization of the config its net was
+built from: comments and key order of a hand-written file are not kept, and
+every default is spelled out, so a later change to a TrainConfig default
+cannot change what `load_net` rebuilds. Unknown sections or keys are
+rejected; the first offending line is reported by number. Blank lines and
+lines starting with '#' are ignored. A linear probe's ProbeConfig comes from
+`ofanet probe`'s flags and its data, never from a document.
 
 Reference setting from the source experiments, for the record: 10,000
 samples per modality (50,000 total), 100 pretraining epochs. The desk-scale
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .modalities import BUILTIN_IDS, ModalityRegistry, ModalitySpec, builtin_modalities
-from .model import ModelDims
+from .model import ModelDims, OfaNet, build_ofanet
 
 CLS_TASK = "classification"
 SEG_TASK = "segmentation"
@@ -117,6 +120,13 @@ class RunConfig:
         specs = [overridden.pop(s.id, s) for s in builtin_modalities()]
         specs.extend(overridden.values())
         return ModalityRegistry(specs)
+
+    def build_net(self) -> OfaNet:
+        """The freshly initialized net this run trains; raises KeyError for
+        a modality id neither builtin nor overridden."""
+        registry = self.build_registry()
+        specs = [registry.lookup(mid) for mid in self.train.modalities]
+        return build_ofanet(self.train.model_dims(), specs, self.train.seed)
 
 
 # parse type per field annotation; a section's keys are its dataclass fields

@@ -102,15 +102,6 @@ def _standardize(fields: np.ndarray) -> np.ndarray:
     return (fields - mu) / np.maximum(sd, 1e-12)
 
 
-def gen_field(h: int, w: int, smooth_passes: int, rng_key: int) -> np.ndarray:
-    """Standardized correlated noise field [h, w], float32."""
-    if h < 4 or w < 4:
-        raise ValueError(f"field size must be >= 4, got {h}x{w}")
-    rng = np.random.Generator(np.random.PCG64(rng_key))
-    field = _standardize(_smooth(rng.standard_normal((h, w)), smooth_passes))
-    return field.astype(np.float32)
-
-
 def spectral_knots(channels: int) -> int:
     """Independent spectral values per image: one per band, at most SPECTRAL_KNOTS."""
     return min(channels, SPECTRAL_KNOTS)

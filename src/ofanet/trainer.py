@@ -29,8 +29,8 @@ from . import checkpoint as ckpt
 from . import ndtensor as ndt
 from . import synthdata
 from .binread import atomic_write
-from .model import OfaNet, build_ofanet, mim_forward_batch, named_parameters
-from .modalities import ModalityRegistry, ModalitySpec, default_registry
+from .model import OfaNet, mim_forward_batch, named_parameters
+from .modalities import ModalityRegistry, ModalitySpec, builtin_modalities, default_registry
 from .runconfig import RunConfig, TrainConfig, serialize_config
 from .seeds import derive_seed, generator
 
@@ -145,18 +145,22 @@ def pretrain(
     config: TrainConfig,
     registry: ModalityRegistry | None = None,
     out_dir: str | Path | None = None,
-    config_text: str | None = None,
 ) -> PretrainResult:
     """Run the full loop; writes per-epoch and final checkpoints when out_dir
-    is given and returns the loss log (one tab-separated line per step)."""
+    is given and returns the loss log (one tab-separated line per step).
+
+    The net is built from a RunConfig of `config` plus every trained spec
+    that is not a builtin as-is, and each checkpoint embeds that RunConfig's
+    serialization, so `load_net` rebuilds exactly this net."""
     config.validate()
     registry = registry if registry is not None else default_registry()
     specs = [registry.lookup(mid) for mid in config.modalities]  # raises for unregistered ids
-    if config_text is None:
-        config_text = serialize_config(RunConfig(train=config))
+    builtins = builtin_modalities()
+    run = RunConfig(train=config, modality_overrides=tuple(s for s in specs if s not in builtins))
+    config_text = serialize_config(run)
 
     streams = _load_streams(config, specs)
-    net = build_ofanet(config.model_dims(), specs, config.seed)
+    net = run.build_net()
 
     steps_per_mod = config.samples_per_modality // config.batch_size
     total_steps = config.epochs * steps_per_mod * len(config.modalities)

@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from ofanet import checkpoint as ckpt
 from ofanet import cli, synthdata
 from ofanet.binread import atomic_write
 from ofanet.cli import main
-from ofanet.runconfig import CLS_TASK, SEG_TASK, ProbeConfig
+from ofanet.model import param_hash
+from ofanet.runconfig import CLS_TASK, SEG_TASK, ProbeConfig, parse_config, serialize_config
 
 
 TINY_CONFIG = """\
@@ -142,6 +144,32 @@ def test_probe_checkpoint_brings_its_own_modalities(tmp_path, tiny_config_path, 
     assert main(["probe", "--task", "seg", "--checkpoint", str(run_dir / "checkpoint-final.ofac"),
                  "--data", str(data), "--config", str(tiny_config_path)] + PROBE_EPOCHS) == 0
     assert capsys.readouterr().out.startswith("segmentation\tthermal\tpretrained\tmiou\t")
+
+
+def test_pretrain_embeds_the_canonical_config(tmp_path):
+    # a hand-written file with a comment and most keys left at their defaults
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(
+        "# naip only, tiny\n[train]\nmodalities = naip\nseed = 5\ninput_size = 16\n"
+        "embed_dim = 16\ndepth = 1\ndecoder_embed_dim = 8\ndecoder_depth = 1\n"
+        "samples_per_modality = 16\nepochs = 1\n"
+    )
+    run_dir = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg), "--out-dir", str(run_dir)]) == 0
+    final = run_dir / "checkpoint-final.ofac"
+    run = parse_config(cfg.read_text())
+    text = ckpt.read_checkpoint(final).config_text
+    assert text == serialize_config(run)
+    assert "#" not in text and f"base_lr = {run.train.base_lr!r}" in text
+    net, loaded = ckpt.load_net(final)
+    assert loaded == run
+
+    # an older checkpoint that embeds the file verbatim still loads to the same net
+    verbatim = tmp_path / "verbatim.ofac"
+    ckpt.write_checkpoint(verbatim, cfg.read_text(), ckpt.read_checkpoint(final).tensors.items())
+    old_net, old_loaded = ckpt.load_net(verbatim)
+    assert old_loaded == run
+    assert param_hash(old_net) == param_hash(net)
 
 
 def test_probe_task_data_mismatch(tmp_path, tiny_config_path, capsys):

@@ -23,27 +23,29 @@ def _lag1_autocorr(field: np.ndarray) -> float:
     return (abs(horiz) + abs(vert)) / 2.0
 
 
-def test_gen_field_unsmoothed_is_standardized():
-    field = sd.gen_field(64, 64, 0, rng_key=derive_seed("t", 1))
-    assert abs(field.mean()) < 1e-5
-    assert abs(field.var() - 1.0) < 0.1
+def _fields(key: int, c: int, size: int, passes: int) -> np.ndarray:
+    return sd._texture_fields(np.random.Generator(np.random.PCG64(key)), c, size, size, passes)
 
 
-def test_gen_field_deterministic():
+def test_texture_fields_unsmoothed_are_standardized():
+    # one field per band, and fields interpolated over spectral knots
+    for c in (S1.channels, ENMAP.channels):
+        fields = _fields(derive_seed("t", 1), c, 64, 0)
+        assert fields.shape == (c, 64, 64)
+        np.testing.assert_allclose(fields.mean(axis=(1, 2)), 0.0, atol=1e-9)
+        np.testing.assert_allclose(fields.var(axis=(1, 2)), 1.0, atol=1e-9)
+
+
+def test_texture_fields_deterministic():
     key = derive_seed("t", 2)
-    np.testing.assert_array_equal(sd.gen_field(32, 32, 3, key), sd.gen_field(32, 32, 3, key))
+    np.testing.assert_array_equal(_fields(key, 3, 32, 3), _fields(key, 3, 32, 3))
 
 
-def test_gen_field_smoothing_raises_autocorrelation():
+def test_texture_fields_smoothing_raises_autocorrelation():
     key = derive_seed("t", 3)
-    rough = sd.gen_field(64, 64, 0, key)
-    smooth = sd.gen_field(64, 64, 8, key)
+    rough = _fields(key, 1, 64, 0)[0]
+    smooth = _fields(key, 1, 64, 8)[0]
     assert _lag1_autocorr(smooth) > _lag1_autocorr(rough)
-
-
-def test_gen_field_rejects_tiny_sizes():
-    with pytest.raises(ValueError):
-        sd.gen_field(2, 32, 0, 1)
 
 
 def test_pretrain_sample_shape_and_determinism():

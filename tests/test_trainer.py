@@ -217,6 +217,18 @@ def test_pretrain_writes_checkpoints_and_log(tmp_path):
     )
 
 
+def test_pretrain_checkpoint_rebuilds_custom_registry_net(tmp_path):
+    # a widened builtin and an added modality reach the embedded config; a
+    # builtin used as-is stays implicit
+    s1 = default_registry().lookup("sentinel1")
+    reg = ModalityRegistry([s1, ModalitySpec("naip", 5), ModalitySpec("thermal", 1)])
+    result = pretrain(tiny_config(modalities=("sentinel1", "naip", "thermal")), registry=reg, out_dir=tmp_path)
+    restored, cfg = ckpt.load_net(result.final_checkpoint)
+    assert cfg.modality_overrides == (ModalitySpec("naip", 5), ModalitySpec("thermal", 1))
+    assert restored.channels == result.net.channels == {"sentinel1": 2, "naip": 5, "thermal": 1}
+    assert m.param_hash(restored) == m.param_hash(result.net)
+
+
 def test_pretrain_rejects_unregistered_modality():
     with pytest.raises(KeyError, match="thermal"):
         pretrain(tiny_config(modalities=("thermal",)))
