@@ -311,13 +311,13 @@ def _attention(x: Tensor, attn: list[Tensor], heads: int) -> Tensor:
     def heads_of(t: Tensor) -> Tensor:
         return ndt.permute(ndt.reshape(t, split), to_heads)
 
-    q = heads_of(ndt.add(ndt.matmul(x, wq), bq))
+    q = heads_of(ndt.linear(x, wq, bq))
     k = heads_of(ndt.matmul(x, wk))
-    v = heads_of(ndt.add(ndt.matmul(x, wv), bv))
+    v = heads_of(ndt.linear(x, wv, bv))
     att = ndt.mul(ndt.matmul(q, ndt.transpose(k)), 1.0 / math.sqrt(dh))
     weights = ndt.softmax(att, axis=-1)
     merged = ndt.reshape(ndt.permute(ndt.matmul(weights, v), to_heads), (*lead, n, d))
-    return ndt.add(ndt.matmul(merged, wo), bo)
+    return ndt.linear(merged, wo, bo)
 
 
 def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
@@ -328,7 +328,7 @@ def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
         h = ndt.layernorm(x, ln1_g, ln1_b)
         x = ndt.add(x, _attention(h, attn, heads))
         h = ndt.layernorm(x, ln2_g, ln2_b)
-        h = ndt.add(ndt.matmul(ndt.gelu(ndt.add(ndt.matmul(h, w1), b1)), w2), b2)
+        h = ndt.linear(ndt.gelu(ndt.linear(h, w1, b1)), w2, b2)
         x = ndt.add(x, h)
     return x
 
@@ -348,7 +348,7 @@ def embed_patches(net: OfaNet, images, modality: str) -> tuple[np.ndarray, Tenso
         )
     weight, bias = _section(net, f"embedder.{modality}")
     patches = patchify(arr, net.dims.patch_size)
-    tokens = ndt.add(ndt.add(ndt.matmul(Tensor(patches), weight), bias), net.backbone_pos)
+    tokens = ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos)
     return patches, tokens
 
 
@@ -384,12 +384,12 @@ def decode_tokens(
     b, m = masked.shape
     dd = mask_token.shape[0]
     restore = np.argsort(np.concatenate([visible, masked], axis=1), axis=1).astype(np.intp)
-    lat = ndt.add(ndt.matmul(latent, proj_w), proj_b)
+    lat = ndt.linear(latent, proj_w, proj_b)
     tile = ndt.add(Tensor(np.zeros((b, m, dd))), ndt.reshape(mask_token, (1, 1, dd)))
     full = ndt.gather_rows_batch(ndt.concat([lat, tile], axis=1), restore)
     x = _stack_forward(ndt.add(full, net.decoder_pos), blocks, net.dims.heads)
     x = ndt.layernorm(x, norm_g, norm_b)
-    return ndt.add(ndt.matmul(x, head_w), head_b)
+    return ndt.linear(x, head_w, head_b)
 
 
 def masked_loss(pred: Tensor, targets: np.ndarray, masked: np.ndarray) -> Tensor:

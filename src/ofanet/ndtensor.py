@@ -1,14 +1,22 @@
 """Dense float tensor kernel with reverse-mode automatic differentiation.
 
 Just enough surface for a small Vision Transformer: matmul (stacked),
-add/sub/mul with the broadcasting the model needs, transpose/permute,
-reshape, row gather, softmax, layer norm, GELU, sum/mean reductions, and
-MSE. The batched row gather's backward scatters the gradient back by plain
-assignment when each batch row's indices are distinct (a mask permutation)
-and scatter-adds it otherwise. ``matmul`` computes no gradient for an input
-that does not require one.
+``linear`` (a matmul plus a bias), add/sub/mul with the broadcasting the
+model needs, transpose/permute, reshape, row gather, softmax, layer norm,
+GELU, sum/mean reductions, and MSE. The batched row gather's backward
+scatters the gradient back by plain assignment when each batch row's
+indices are distinct (a mask permutation) and scatter-adds it otherwise.
+``matmul`` computes no gradient for an input that does not require one.
+``linear(a, w, b)`` calls ``matmul`` and adds the bias into the product's
+own fresh array: the same two tape nodes and bytes as
+``add(matmul(a, w), b)``, one array fewer.
 
-Ops never mutate their inputs. Outputs are fresh contiguous arrays. Every
+Ops and their grad_fns never write into their inputs or into a gradient
+they receive (``add`` hands one gradient array to both parents). They may
+write into arrays they allocated themselves, which is how ``gelu``,
+``softmax`` and ``layernorm`` chain their steps with ``out=``; each such
+chain keeps the textbook expression's operations and their order, so the
+bytes are the same. Outputs are fresh contiguous arrays. Every
 op whose result requires grad is recorded on a module-level tape; calling
 ``backward(loss)`` walks the tape once in reverse, accumulates ``.grad`` on
 the leaves that require grad (tensors no recorded op produced, such as
@@ -243,6 +251,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), grad_fn)
 
 
+def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """a @ w + b, with the bias added into the product's own fresh array.
+
+    Records the same two tape nodes as ``add(matmul(a, w), b)``, with the
+    same bytes. The product tensor never leaves this function, so writing
+    into its array is safe."""
+    prod = matmul(a, w)
+    b = _as_tensor(b)
+    np.add(prod.data, b.data, out=prod.data)
+    bsh = b.shape
+    return _result(prod.data, (prod, b), lambda g: (g, _unbroadcast(g, bsh)))
+
+
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     if a.ndim < 2:
@@ -315,13 +336,17 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ValueError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    x = a.data
+    y = np.subtract(x, x.max(axis=axis, keepdims=True))
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        gy = np.multiply(g, y)
+        dot = gy.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gy)
+        gy *= y
+        return (gy,)
 
     return _result(y, (a,), grad_fn)
 
@@ -336,22 +361,27 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
             f"layernorm gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
     mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = np.subtract(a.data, mu)
+    xhat = np.multiply(xc, xc)
+    var = xhat.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = xhat * gamma.data + beta.data
+    np.multiply(xc, inv, out=xhat)
+    y = np.multiply(xhat, gamma.data, out=xc)
+    y += beta.data
     gdata = gamma.data
     lead = tuple(range(a.ndim - 1))
 
     def grad_fn(g):
-        dxhat = g * gdata
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
+        dx = np.multiply(g, gdata)  # dxhat until it becomes dx
+        tmp = np.multiply(dx, xhat)
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        m1 = dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        dx -= m1
+        dx -= tmp
+        dx *= inv
+        np.multiply(g, xhat, out=tmp)
+        dgamma = tmp.sum(axis=lead) if lead else tmp
         dbeta = g.sum(axis=lead) if lead else g
         return dx, dgamma, dbeta
 
@@ -361,14 +391,30 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     x = a.data
-    x2 = x * x
-    u = _GELU_C * x * (1.0 + _GELU_A * x2)
-    t = np.tanh(u)
-    y = 0.5 * x * (1.0 + t)
+    # out= needs an array, and a ufunc on a 0-d input returns a scalar
+    x2 = np.multiply(x, x, out=np.empty_like(x))
+    t = np.multiply(x2, _GELU_A, out=np.empty_like(x))
+    t += 1.0
+    y = np.multiply(x, _GELU_C, out=np.empty_like(x))
+    t *= y
+    np.tanh(t, out=t)
+    np.multiply(x, 0.5, out=y)
+    y *= t + 1.0
 
     def grad_fn(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+        du = np.multiply(x2, 3.0 * _GELU_A, out=np.empty_like(x))
+        du += 1.0
+        du *= _GELU_C
+        h = np.multiply(x, 0.5, out=np.empty_like(x))
+        s = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, s, out=s)
+        h *= s
+        h *= du
+        np.add(t, 1.0, out=s)
+        s *= 0.5
+        s += h
+        s *= g
+        return (s,)
 
     return _result(y, (a,), grad_fn)
 

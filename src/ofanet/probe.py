@@ -132,12 +132,14 @@ def _sgd_softmax(
     b = np.zeros(hist.shape[1], dtype=np.float64)
     vw = np.zeros_like(w)
     vb = np.zeros_like(b)
+    row_counts = hist.sum(axis=1, keepdims=True)
+    units = max(hist.sum(), 1.0)
     for _ in range(epochs):
         logits = x @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        g = (p * hist.sum(axis=1, keepdims=True) - hist) / max(hist.sum(), 1.0)
+        g = (p * row_counts - hist) / units
         gw = x.T @ g
         gb = g.sum(axis=0)
         vw = MOMENTUM * vw + gw

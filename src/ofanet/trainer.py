@@ -8,7 +8,7 @@ modality per epoch is dropped, keeping the per-epoch step count exact.
 Each step updates the parameters that received a gradient in place: the
 same Tensor objects get the optimizer's new arrays, and their gradients are
 cleared for the next step. Parameters of the other modalities stay as they
-are.
+are. The optimizer's moment buffers are updated in place.
 
 Every source of randomness (data, shuffles, masks, init) is a derived
 counter seed, so identical config+seed reproduces the loss log and the
@@ -59,9 +59,10 @@ def optimizer_step(
 ) -> dict[str, np.ndarray]:
     """One decoupled update over the given parameters; returns new arrays.
 
-    Moment buffers are created on first touch; only the names present in
-    `params` move this step (round-robin leaves other modalities' embedders
-    and decoders untouched).
+    Moment buffers are created on first touch and then updated in place,
+    with one scratch array per parameter; `params` and `grads` are only
+    read. Only the names present in `params` move this step (round-robin
+    leaves other modalities' embedders and decoders untouched).
     """
     state.step += 1
     t = state.step
@@ -74,16 +75,29 @@ def optimizer_step(
             raise ValueError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p)
-            state.m[name] = m
+            m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        out[name] = p - lr * update - lr * weight_decay * p
+        # the textbook expressions, operand for operand:
+        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        #   new = p - lr * ((m / bc1) / (sqrt(v / bc2) + eps)) - (lr * wd) * p
+        scratch = np.multiply(g, 1.0 - ADAM_BETA1, out=np.empty_like(p))
+        m *= ADAM_BETA1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        new = np.divide(m, bc1, out=np.empty_like(p))
+        new /= scratch
+        new *= lr
+        np.subtract(p, new, out=new)
+        np.multiply(p, lr * weight_decay, out=scratch)
+        new -= scratch
+        out[name] = new
     return out
 
 

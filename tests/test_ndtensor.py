@@ -469,3 +469,236 @@ def test_mse_float64_loss_float32_grad():
         ndt.backward(loss)
     assert p.grad.dtype == np.float32
     np.testing.assert_allclose(p.grad, 2.0 * (p0 - t0) / p0.size, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# buffer reuse: ops write only into arrays they allocated, with the same bytes
+
+
+def _frozen(arr) -> np.ndarray:
+    arr = np.array(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+def _input(rng, shape, dtype=np.float32) -> Tensor:
+    t = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    t.data.flags.writeable = False
+    return t
+
+
+def _grad_fn_cases(rng):
+    """(name, make_inputs, op) triples: make_inputs() gives read-only input
+    tensors, and op(*inputs) leaves the op's node(s) on the tape."""
+    cases = []
+
+    def x(*shape):
+        return _input(rng, shape)
+
+    def case(name, make_inputs, op):
+        cases.append((name, make_inputs, op))
+
+    for shape in [(), (5,), (3, 4), (2, 3, 2, 4)]:
+        s = "x".join(map(str, shape)) or "0d"
+        case(f"add_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.add(a, b))
+        case(f"add_fanout_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.add(a, a))
+        case(f"sub_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.sub(a, b))
+        case(f"mul_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.mul(a, b))
+        case(f"scale_neg_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.neg(ndt.scale(a, 0.5)))
+        case(f"gelu_{s}", lambda shape=shape: [x(*shape)], ndt.gelu)
+        case(f"tsum_{s}", lambda shape=shape: [x(*shape)], ndt.tsum)
+        case(f"mse_{s}", lambda shape=shape: [x(*shape), x(*shape)], ndt.mse)
+        if shape:
+            case(f"softmax_{s}", lambda shape=shape: [x(*shape)], ndt.softmax)
+            case(f"layernorm_{s}", lambda shape=shape: [x(*shape), x(shape[-1]), x(shape[-1])],
+                 ndt.layernorm)
+            case(f"concat_{s}", lambda shape=shape: [x(*shape), x(*shape)],
+                 lambda a, b: ndt.concat([a, b], axis=0))
+            case(f"tsum_axis_keepdims_{s}", lambda shape=shape: [x(*shape)],
+                 lambda a: ndt.tsum(a, axis=0, keepdims=True))
+            case(f"add_broadcast_{s}", lambda shape=shape: [x(*shape), x(shape[-1])],
+                 lambda a, b: ndt.add(a, b))
+    case("matmul_2d", lambda: [x(3, 4), x(4, 5)], ndt.matmul)
+    case("matmul_batched_4d", lambda: [x(2, 3, 4, 5), x(2, 3, 5, 2)], ndt.matmul)
+    case("matmul_stacked_weight", lambda: [x(2, 3, 4), x(4, 5)], ndt.matmul)
+    case("matmul_stacked_constant_input", lambda: [Tensor(_frozen(x(2, 3, 4).data)), x(4, 5)],
+         ndt.matmul)
+    case("linear_2d", lambda: [x(3, 4), x(4, 5), x(5)], ndt.linear)
+    case("linear_4d", lambda: [x(2, 3, 2, 4), x(4, 5), x(5)], ndt.linear)
+    case("transpose_permute_reshape", lambda: [x(2, 3, 4)],
+         lambda a: ndt.reshape(ndt.permute(ndt.transpose(a), (1, 0, 2)), (12, 2)))
+    case("gather_rows_batch_distinct", lambda: [x(2, 5, 3)],
+         lambda a: ndt.gather_rows_batch(a, [[4, 0, 2], [1, 3, 0]]))
+    case("gather_rows_batch_repeated", lambda: [x(2, 5, 3)],
+         lambda a: ndt.gather_rows_batch(a, [[4, 4, 2], [1, 1, 1]]))
+    return cases
+
+
+@pytest.mark.parametrize("name", [c[0] for c in _grad_fn_cases(np.random.default_rng(0))])
+def test_grad_fns_never_write_into_what_they_did_not_allocate(name):
+    # a grad_fn may only write into arrays it allocated: `add` hands one
+    # gradient array to both parents, and the tape keeps inputs and outputs
+    rng = np.random.default_rng(41)
+    make_inputs, op = {c[0]: c[1:] for c in _grad_fn_cases(rng)}[name]
+    inputs = make_inputs()
+    snaps = [t.data.copy() for t in inputs]
+    op(*inputs)
+    nodes = list(ndt.active_tape())
+    assert nodes
+    for node in nodes:
+        node.out.data.flags.writeable = False
+    outs = [node.out.data.copy() for node in nodes]
+    for node in reversed(nodes):
+        g = _frozen(rng.normal(size=node.out.shape).astype(node.out.data.dtype))
+        g_snap = g.copy()
+        grads = node.grad_fn(g)  # read-only arrays make any write raise
+        assert len(grads) == len(node.parents)
+        assert g.tobytes() == g_snap.tobytes()
+    for t, snap in zip(inputs, snaps):
+        assert t.data.tobytes() == snap.tobytes()
+    for node, out in zip(nodes, outs):
+        assert node.out.data.tobytes() == out.tobytes()
+
+
+# the out-of-place expressions these ops were first written as, verbatim;
+# the kernel's in-place chains must give the same bytes
+
+
+def _softmax_reference(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return ((g - dot) * y,)
+
+    return y, grad_fn
+
+
+def _layernorm_reference(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    gdata = gamma
+    lead = tuple(range(x.ndim - 1))
+
+    def grad_fn(g):
+        dxhat = g * gdata
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
+        dbeta = g.sum(axis=lead) if lead else g
+        return dx, dgamma, dbeta
+
+    return y, grad_fn
+
+
+def _gelu_reference(x):
+    c, a_ = ndt._GELU_C, ndt._GELU_A
+    x2 = x * x
+    u = c * x * (1.0 + a_ * x2)
+    t = np.tanh(u)
+    y = 0.5 * x * (1.0 + t)
+
+    def grad_fn(g):
+        du = c * (1.0 + 3.0 * a_ * x2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+
+    return y, grad_fn
+
+
+def _spread(rng, shape, dtype):
+    """Normals over eight decades of scale, with signed zeros, a float32
+    subnormal and values deep in gelu's and softmax's saturated tails."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+    x.reshape(-1)[:5] = [0.0, -0.0, 40.0, -40.0, 3e-39]
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(7,), (3, 16), (2, 3, 5, 9)])
+def test_in_place_kernels_match_textbook_bytes(dtype, shape):
+    rng = np.random.default_rng(53)
+    with ndt.dtype_mode(dtype):
+        x0 = _spread(rng, shape, dtype)
+        gam = rng.normal(size=shape[-1]).astype(dtype)
+        bet = rng.normal(size=shape[-1]).astype(dtype)
+        g0 = rng.normal(size=shape).astype(dtype)
+        for op, ref in (
+            (lambda: ndt.gelu(Tensor(x0, requires_grad=True)), lambda: _gelu_reference(x0)),
+            (lambda: ndt.softmax(Tensor(x0, requires_grad=True), axis=-1),
+             lambda: _softmax_reference(x0, -1)),
+            (lambda: ndt.layernorm(Tensor(x0, requires_grad=True), Tensor(gam, requires_grad=True),
+                                   Tensor(bet, requires_grad=True)),
+             lambda: _layernorm_reference(x0, gam, bet)),
+        ):
+            ndt.active_tape().clear()
+            out = op()
+            y_ref, grad_ref = ref()
+            assert out.data.dtype == y_ref.dtype
+            assert out.data.tobytes() == y_ref.tobytes()
+            got = ndt.active_tape()[-1].grad_fn(g0)
+            want = grad_ref(g0)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+    ndt.active_tape().clear()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_gelu_0d_matches_textbook_bytes():
+    # 3e38 overflows x * x and 2 * x but not 0.5 * x * 2, so the forward's
+    # order of products shows
+    for v in (0.0, -0.0, 0.7, -3.5, 12.0, 3e-39, 3e38):
+        x0 = np.array(v, dtype=np.float32)
+        out = ndt.gelu(Tensor(x0, requires_grad=True))
+        y_ref, grad_ref = _gelu_reference(x0)
+        assert out.shape == () and out.data.tobytes() == np.asarray(y_ref).tobytes()
+        g = np.array(1.25, dtype=np.float32)
+        (got,) = ndt.active_tape()[-1].grad_fn(g)
+        assert got.tobytes() == np.asarray(grad_ref(g)[0]).tobytes()
+        ndt.active_tape().clear()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_linear_matches_add_of_matmul_bytes(dtype):
+    rng = np.random.default_rng(59)
+    with ndt.dtype_mode(dtype):
+        x0 = rng.normal(size=(2, 6, 5))
+        w0 = rng.normal(size=(5, 3))
+        b0 = rng.normal(size=3)
+        c0 = rng.normal(size=(2, 6, 3))
+        grads = []
+        for build in (lambda x, w, b: ndt.linear(x, w, b),
+                      lambda x, w, b: ndt.add(ndt.matmul(x, w), b)):
+            x, w, b = (Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+            y = build(x, w, b)
+            ndt.backward(ndt.tsum(ndt.mul(y, Tensor(c0))))
+            grads.append([y.data, x.grad, w.grad, b.grad])
+        for a, b in zip(*grads):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_linear_grad_matches_finite_difference():
+    rng = np.random.default_rng(61)
+    vals = [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)]
+    c0 = rng.normal(size=(3, 2))
+    with ndt.dtype_mode("float64"):
+        ts = [Tensor(v, requires_grad=True) for v in vals]
+        ndt.backward(ndt.tsum(ndt.mul(ndt.linear(*ts), Tensor(c0))))
+        for i, t in enumerate(ts):
+
+            def f(v, i=i):
+                args = [Tensor(a) for a in vals]
+                args[i] = Tensor(v)
+                with ndt.no_grad():
+                    return ndt.tsum(ndt.mul(ndt.linear(*args), Tensor(c0))).item()
+
+            assert rel_err(t.grad, finite_diff(f, vals[i], 1e-5)) < 1e-7

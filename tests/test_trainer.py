@@ -96,6 +96,65 @@ def test_optimizer_step_counter_strictly_increases():
     assert seen == [1, 2, 3]
 
 
+def _optimizer_step_reference(params, grads, state, lr, weight_decay):
+    # the out-of-place update optimizer_step was first written as, verbatim
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - trainer.ADAM_BETA1**t
+    bc2 = 1.0 - trainer.ADAM_BETA2**t
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p)
+            state.m[name] = m
+            state.v[name] = np.zeros_like(p)
+        v = state.v[name]
+        m = trainer.ADAM_BETA1 * m + (1.0 - trainer.ADAM_BETA1) * g
+        v = trainer.ADAM_BETA2 * v + (1.0 - trainer.ADAM_BETA2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        update = (m / bc1) / (np.sqrt(v / bc2) + trainer.ADAM_EPS)
+        out[name] = p - lr * update - lr * weight_decay * p
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_optimizer_step_in_place_moments_match_textbook_bytes(dtype):
+    rng = np.random.default_rng(67)
+    shapes = {"w": (48, 40), "b": (40,), "s": (), "t": (2, 3, 8, 4)}
+
+    def arrays(scale):
+        # read-only, so that any write into them raises
+        out = {n: np.array(rng.normal(size=s) * scale, dtype=dtype) for n, s in shapes.items()}
+        for a in out.values():
+            a.flags.writeable = False
+        return out
+
+    params = arrays(1.0)
+    ref_params = dict(params)
+    state, ref_state = OptimizerState(), OptimizerState()
+    # the last step's large lr and decay make every rounding of the decay
+    # term show in the new parameter
+    for step, (lr, wd) in enumerate([(1e-3, 0.05), (3e-4, 0.0), (0.3, 0.7)]):
+        grads = arrays(10.0 ** -step)
+        snaps = {n: (params[n].tobytes(), grads[n].tobytes()) for n in shapes}
+        new = optimizer_step(params, grads, state, lr, wd)
+        ref = _optimizer_step_reference(ref_params, grads, ref_state, lr, wd)
+        for n in shapes:
+            assert (params[n].tobytes(), grads[n].tobytes()) == snaps[n]
+            for got, want in ((new[n], ref[n]), (state.m[n], ref_state.m[n]),
+                              (state.v[n], ref_state.v[n])):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert new[n] is not params[n]
+        params, ref_params = new, ref
+        for a in params.values():
+            a.flags.writeable = False
+    assert state.step == ref_state.step == 3
+
+
 # ---------------------------------------------------------------------------
 # pretraining loop
 
