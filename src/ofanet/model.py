@@ -15,7 +15,9 @@ arrays, and a single image is a batch of 1. ``mim_forward_batch`` composes
 ``embed_patches``, ``draw_masks``, ``encode_tokens``, ``decode_tokens`` and
 ``masked_loss`` into one training graph per mini-batch; ``forward_tokens``
 and ``forward_features`` reuse the embed and encode stages off-tape for
-frozen feature extraction.
+frozen feature extraction. A block's attention is its q/k/v projections
+(``linear``, ``matmul``), one ``ndtensor.attention`` node and the output
+``linear``; every ``matmul`` multiplies a stacked input by a weight matrix.
 """
 
 from __future__ import annotations
@@ -301,23 +303,10 @@ def backbone_hash(net: OfaNet) -> str:
 def _attention(x: Tensor, attn: list[Tensor], heads: int) -> Tensor:
     """Multi-head self-attention over (..., n, d); heads split the last axis."""
     wq, bq, wk, wv, bv, wo, bo = attn
-    *lead, n, d = x.shape
-    dh = d // heads
-    split = (*lead, n, heads, dh)
-    # (..., n, H, dh) -> (..., H, n, dh)
-    nd = len(split)
-    to_heads = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-
-    def heads_of(t: Tensor) -> Tensor:
-        return ndt.permute(ndt.reshape(t, split), to_heads)
-
-    q = heads_of(ndt.linear(x, wq, bq))
-    k = heads_of(ndt.matmul(x, wk))
-    v = heads_of(ndt.linear(x, wv, bv))
-    att = ndt.mul(ndt.matmul(q, ndt.transpose(k)), 1.0 / math.sqrt(dh))
-    weights = ndt.softmax(att, axis=-1)
-    merged = ndt.reshape(ndt.permute(ndt.matmul(weights, v), to_heads), (*lead, n, d))
-    return ndt.linear(merged, wo, bo)
+    q = ndt.linear(x, wq, bq)
+    k = ndt.matmul(x, wk)
+    v = ndt.linear(x, wv, bv)
+    return ndt.linear(ndt.attention(q, k, v, heads), wo, bo)
 
 
 def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
@@ -385,7 +374,7 @@ def decode_tokens(
     dd = mask_token.shape[0]
     restore = np.argsort(np.concatenate([visible, masked], axis=1), axis=1).astype(np.intp)
     lat = ndt.linear(latent, proj_w, proj_b)
-    tile = ndt.add(Tensor(np.zeros((b, m, dd))), ndt.reshape(mask_token, (1, 1, dd)))
+    tile = ndt.add(Tensor(np.zeros((b, m, dd))), mask_token)
     full = ndt.gather_rows_batch(ndt.concat([lat, tile], axis=1), restore)
     x = _stack_forward(ndt.add(full, net.decoder_pos), blocks, net.dims.heads)
     x = ndt.layernorm(x, norm_g, norm_b)

@@ -1,20 +1,21 @@
 """Dense float tensor kernel with reverse-mode automatic differentiation.
 
-Just enough surface for a small Vision Transformer: matmul (stacked),
-``linear`` (a matmul plus a bias), add/sub/mul with the broadcasting the
-model needs, transpose/permute, reshape, row gather, softmax, layer norm,
-GELU, sum/mean reductions, and MSE. The batched row gather's backward
-scatters the gradient back by plain assignment when each batch row's
-indices are distinct (a mask permutation) and scatter-adds it otherwise.
-``matmul`` computes no gradient for an input that does not require one.
-``linear(a, w, b)`` calls ``matmul`` and adds the bias into the product's
-own fresh array: the same two tape nodes and bytes as
-``add(matmul(a, w), b)``, one array fewer.
+Just enough surface for a small Vision Transformer, and no op it does not
+call: ``add``, ``mul`` (also by a python scalar), ``matmul``, ``linear``,
+``attention``, the batched row gather, ``concat``, layer norm, GELU,
+``tsum``/``tmean`` and MSE. ``matmul`` is ``[..., k] @ [k, m]`` with the
+leading dims folded into one gemm, and computes no gradient for an input
+that does not require one. ``linear(a, w, b)`` adds the bias into the
+matmul's own fresh array: the two tape nodes and bytes of
+``add(matmul(a, w), b)``, one array fewer. ``attention`` is one tape node for
+head split, scaled scores, softmax, weighted sum and head merge. The row
+gather's backward scatters by plain assignment when each batch row's
+indices are distinct (a mask permutation) and scatter-adds otherwise.
 
 Ops and their grad_fns never write into their inputs or into a gradient
 they receive (``add`` hands one gradient array to both parents). They may
 write into arrays they allocated themselves, which is how ``gelu``,
-``softmax`` and ``layernorm`` chain their steps with ``out=``; each such
+``attention`` and ``layernorm`` chain their steps with ``out=``; each such
 chain keeps the textbook expression's operations and their order, so the
 bytes are the same. Outputs are fresh contiguous arrays. Every
 op whose result requires grad is recorded on a module-level tape; calling
@@ -169,26 +170,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise
 
 
-def add(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        data = a.data + float(b)
-        return _result(data, (a,), lambda g: (g,))
-    b = _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
     ash, bsh = a.shape, b.shape
     return _result(data, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        data = a.data - float(b)
-        return _result(data, (a,), lambda g: (g,))
-    b = _as_tensor(b)
-    data = a.data - b.data
-    ash, bsh = a.shape, b.shape
-    return _result(data, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -206,46 +192,27 @@ def mul(a: Tensor, b) -> Tensor:
     )
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    return mul(a, float(s))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
-
-
 # ---------------------------------------------------------------------------
-# matmul and movement
+# matmul, linear, attention
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[..., k] @ [k, m] -> [..., m]: the leading dims of ``a`` fold into one
+    gemm instead of numpy looping a small gemm per batch row."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"matmul expects [..., k] @ [k, m], got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
     # a constant input (an embedder's patch tensor) gets no gradient product
     a_grad, b_grad = a.requires_grad, b.requires_grad
-
-    if a.ndim > 2 and b.ndim == 2:
-        # stacked @ weight: fold leading dims into one gemm instead of
-        # letting numpy loop a small gemm per batch row
-        a2 = ad.reshape(-1, ash[-1])
-        data = (a2 @ bd).reshape(*ash[:-1], bsh[-1])
-
-        def grad_fn(g):
-            g2 = g.reshape(-1, bsh[-1])
-            ga = (g2 @ bd.T).reshape(ash) if a_grad else None
-            gb = a2.T @ g2 if b_grad else None
-            return ga, gb
-
-        return _result(data, (a, b), grad_fn)
-
-    data = ad @ bd
+    a2 = ad.reshape(-1, ash[-1])
+    data = (a2 @ bd).reshape(*ash[:-1], bsh[-1])
 
     def grad_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ash) if a_grad else None
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bsh) if b_grad else None
+        g2 = g.reshape(-1, bsh[-1])
+        ga = (g2 @ bd.T).reshape(ash) if a_grad else None
+        gb = a2.T @ g2 if b_grad else None
         return ga, gb
 
     return _result(data, (a, b), grad_fn)
@@ -264,25 +231,57 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(prod.data, (prod, b), lambda g: (g, _unbroadcast(g, bsh)))
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise ValueError(f"transpose needs ndim >= 2, got shape {a.shape}")
-    return _result(np.swapaxes(a.data, -1, -2), (a,), lambda g: (np.swapaxes(g, -1, -2),))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention core over [..., n, d] queries, keys and
+    values: split d into ``heads`` slices of width dh, take
+    softmax(q @ kᵀ · 1/√dh) @ v per head, merge the heads back.
+
+    The forward keeps q and v per head and kᵀ as contiguous copies, and the
+    backward multiplies by transposed views of them and of the incoming
+    gradient: the float operations and array layouts of the composed
+    reshape, permute, transpose, matmul, scale and softmax chain, so the
+    bytes are that chain's."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim < 2 or not (q.shape == k.shape == v.shape) or heads < 1 or q.shape[-1] % heads:
+        raise ValueError(
+            f"attention expects equal [..., n, d] q, k, v with d divisible by {heads} heads, "
+            f"got {q.shape}, {k.shape}, {v.shape}"
+        )
+    *lead, n, d = q.shape
+    split = (*lead, n, heads, d // heads)
+    s = 1.0 / math.sqrt(d // heads)
+
+    def to_heads(x: np.ndarray) -> np.ndarray:  # [..., n, d] -> [..., H, n, dh]
+        return np.ascontiguousarray(np.swapaxes(x.reshape(split), -3, -2))
+
+    def merge(x: np.ndarray) -> np.ndarray:  # [..., H, n, dh] -> [..., n, d]
+        return np.swapaxes(x, -3, -2).reshape(q.shape)
+
+    qh, vh = to_heads(q.data), to_heads(v.data)
+    kt = np.ascontiguousarray(np.moveaxis(k.data.reshape(split), -3, -1))  # [..., H, dh, n]
+    y = qh @ kt
+    y *= s
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        gh = np.swapaxes(g.reshape(split), -3, -2)
+        gv = np.swapaxes(y, -1, -2) @ gh
+        gs = gh @ np.swapaxes(vh, -1, -2)  # d(weights), then d(scores)
+        dot = np.multiply(gs, y).sum(axis=-1, keepdims=True)
+        gs -= dot
+        gs *= y
+        gs *= s
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gkt = np.swapaxes(qh, -1, -2) @ gs
+        return merge(gq), merge(np.swapaxes(gkt, -1, -2)), merge(gv)
+
+    return _result(merge(y @ vh), (q, k, v), grad_fn)
 
 
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ValueError(f"permute axes {axes} invalid for shape {a.shape}")
-    inv = np.argsort(axes)
-    return _result(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    old = a.shape
-    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+# ---------------------------------------------------------------------------
+# movement
 
 
 def gather_rows_batch(a: Tensor, idx) -> Tensor:
@@ -331,24 +330,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.ndim <= axis < a.ndim:
-        raise ValueError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    x = a.data
-    y = np.subtract(x, x.max(axis=axis, keepdims=True))
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        gy = np.multiply(g, y)
-        dot = gy.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=gy)
-        gy *= y
-        return (gy,)
-
-    return _result(y, (a,), grad_fn)
 
 
 def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -101,9 +101,7 @@ def mean_iou(pred_mask, gt_mask, k: int) -> float:
 def extract_features(net: OfaNet, images: np.ndarray, modality: str, per_token: bool = False) -> np.ndarray:
     """[n, d] pooled (or [n, tokens, d] per-token) frozen features, computed
     on the training forward path in chunks of FEATURE_CHUNK images."""
-    size = net.dims.input_size
-    if images.shape[1] != size or images.shape[2] != size:
-        images = resize_nearest(images, size)
+    images = resize_nearest(images, net.dims.input_size)
     fwd = forward_tokens if per_token else forward_features
 
     def chunk(lo: int) -> np.ndarray:
@@ -240,9 +238,7 @@ def run_seg_probe(
         raise ValueError("segmentation probe needs a mask-labeled dataset")
     patch = net.dims.patch_size
     feats = extract_features(net, dataset.images, dataset.modality_id, per_token=True)
-    masks = dataset.masks
-    if masks.shape[1] != net.dims.input_size:
-        masks = resize_nearest(masks, net.dims.input_size)
+    masks = resize_nearest(dataset.masks, net.dims.input_size)
     train_idx, eval_idx = _split(masks.shape[0])
     head = train_linear_seg(feats[train_idx], masks[train_idx], patch, config)
     pred = predict_seg(head, feats[eval_idx], net.dims.grid, patch)

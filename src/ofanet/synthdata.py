@@ -247,9 +247,12 @@ def resize_nearest(images: np.ndarray, size: int) -> np.ndarray:
     """Nearest-neighbor resize of a stack [n, h, w] or [n, h, w, c] to
     [n, size, size, ...].
 
-    Pure index arithmetic: label-safe for masks, bit-exact across runs.
+    Pure index arithmetic: label-safe for masks, bit-exact across runs. A
+    stack already at size x size is returned as it is.
     """
     h, w = images.shape[1:3]
+    if h == w == size:
+        return images
     rows = (np.arange(size) * h) // size
     cols = (np.arange(size) * w) // size
     return np.ascontiguousarray(images[:, rows[:, None], cols])

@@ -135,6 +135,8 @@ def _load_streams(
             if not path.exists():
                 raise FileNotFoundError(f"file-backed pretraining: missing {path}")
             loaded = synthdata.load_dataset(path)
+            if loaded.modality_id != mid:
+                raise ValueError(f"{path}: holds modality {loaded.modality_id!r}, expected {mid!r}")
             if loaded.images.shape[3] != spec.channels:
                 raise ValueError(
                     f"{path}: {loaded.images.shape[3]} channels, spec says {spec.channels}"
@@ -144,9 +146,7 @@ def _load_streams(
                 raise ValueError(
                     f"{path}: has {imgs.shape[0]} samples, need {config.samples_per_modality}"
                 )
-            if imgs.shape[1] != config.input_size:
-                imgs = synthdata.resize_nearest(imgs, config.input_size)
-            streams[mid] = imgs
+            streams[mid] = synthdata.resize_nearest(imgs, config.input_size)
         else:
             samples = synthdata.gen_pretrain_stream(
                 spec, config.seed, config.samples_per_modality, size=config.input_size

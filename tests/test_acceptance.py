@@ -134,18 +134,25 @@ def _op_cases(rng):
     case("matmul_stacked", rng.normal(size=(2, 4, 3)),
          lambda x: ndt.tsum(ndt.mul(ndt.matmul(x, Tensor(w34[:3, :3])), 0.5)))
     case("add_broadcast", b3, lambda x: ndt.tsum(ndt.mul(ndt.add(Tensor(w53), x), Tensor(w53 + 2.0))))
-    case("sub", w53, lambda x: ndt.tsum(ndt.mul(ndt.sub(x, Tensor(w53 * 0.5)), Tensor(w53 + 1.0))))
     case("mul", w53, lambda x: ndt.tsum(ndt.mul(x, Tensor(w53 + 0.25))))
-    case("scale", b3, lambda x: ndt.tsum(ndt.scale(x, 2.5)))
-    case("neg_reshape_permute", rng.normal(size=(2, 3, 4)),
-         lambda x: ndt.tsum(ndt.mul(ndt.reshape(ndt.permute(ndt.neg(x), (2, 0, 1)), (12, 2)),
-                                    Tensor(np.arange(24, dtype=np.float64).reshape(12, 2) / 10))))
-    case("transpose", w53, lambda x: ndt.tsum(ndt.mul(ndt.transpose(x), Tensor(w53.T + 0.5))))
+    b4 = rng.normal(size=4)
+    c54 = Tensor(w53 @ w34)
+    case("linear_input", w53, lambda x: ndt.tsum(ndt.mul(ndt.linear(x, Tensor(w34), Tensor(b4)), c54)))
+    case("linear_weight", w34, lambda x: ndt.tsum(ndt.mul(ndt.linear(Tensor(w53), x, Tensor(b4)), c54)))
+    case("linear_bias", b4, lambda x: ndt.tsum(ndt.mul(ndt.linear(Tensor(w53), Tensor(w34), x), c54)))
     case("gather_rows", w53[None], lambda x: ndt.tsum(ndt.gather_rows_batch(x, idx[None])))
     case("gather_rows_batch", rng.normal(size=(2, 4, 3)),
          lambda x: ndt.tsum(ndt.gather_rows_batch(x, bidx)))
     case("concat", w53, lambda x: ndt.tsum(ndt.mul(ndt.concat([x, Tensor(w53 * 2)]), 0.3)))
-    case("softmax", g6, lambda x: ndt.tsum(ndt.mul(ndt.softmax(x, axis=-1), Tensor(np.arange(6.0)))))
+    # a batch of 2, 3 tokens of width 4, 2 heads; the other two inputs fixed
+    qkv = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
+    proj = Tensor(rng.normal(size=(2, 3, 4)))
+    for i, role in enumerate("qkv"):
+        def attn(x, i=i):
+            args = [Tensor(a) for a in qkv]
+            args[i] = x
+            return ndt.tsum(ndt.mul(ndt.attention(*args, heads=2), proj))
+        case(f"attention_{role}", qkv[i], attn)
     case("layernorm_x", g6, lambda x: ndt.tsum(ndt.mul(
         ndt.layernorm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))), Tensor(np.arange(6.0) - 2))))
     case("layernorm_gamma", np.ones(6) * 0.7, lambda x: ndt.tsum(ndt.mul(

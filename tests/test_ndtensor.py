@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -31,6 +32,11 @@ def test_matmul_shape_mismatch_names_both_shapes():
     b = Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\)"):
         ndt.matmul(a, b)
+
+
+def test_matmul_rejects_a_stacked_right_operand():
+    with pytest.raises(ValueError, match=r"\(2, 3, 4\).*\(2, 4, 5\)"):
+        ndt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
 
 
 def test_matmul_grad_matches_finite_difference():
@@ -71,21 +77,39 @@ def test_stacked_matmul_grad():
         assert rel_err(b.grad, finite_diff(fb, b0, 1e-4)) < 1e-4
 
 
+def _softmax_rows(x) -> np.ndarray:
+    """Row softmax of square [n, n] logits (a 1-D x is one row), read off
+    ``attention`` with one head of width 16 and v = I: q = 4 [x | 0] and
+    k = v = [I | 0], so the scores are exactly x (4 and 1/sqrt(16) are
+    powers of two, every other product is an exact zero) and the output's
+    first n columns are the attention weights."""
+    x = np.asarray(x, dtype=np.float32)
+    rows = np.atleast_2d(x)
+    n = rows.shape[-1]
+    if rows.shape[0] != n:
+        rows = np.broadcast_to(rows, (n, n))
+    q = np.zeros((n, 16), dtype=np.float32)
+    q[:, :n] = 4.0 * rows
+    eye = np.eye(n, 16, dtype=np.float32)
+    out = ndt.attention(Tensor(q), Tensor(eye), Tensor(eye), heads=1).data
+    assert not out[:, n:].any()
+    return out[0, :n] if x.ndim == 1 else out[:, :n]
+
+
 def test_softmax_uniform():
-    y = ndt.softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(y.data, [1 / 3] * 3, rtol=1e-6)
+    np.testing.assert_allclose(_softmax_rows([0.0, 0.0, 0.0]), [1 / 3] * 3, rtol=1e-6)
 
 
 def test_softmax_large_logit_no_overflow():
-    y = ndt.softmax(Tensor([1000.0, 0.0, 0.0]))
-    assert np.all(np.isfinite(y.data))
-    np.testing.assert_allclose(y.data, [1.0, 0.0, 0.0], atol=1e-6)
+    y = _softmax_rows([1000.0, 0.0, 0.0])
+    assert np.all(np.isfinite(y))
+    np.testing.assert_allclose(y, [1.0, 0.0, 0.0], atol=1e-6)
 
 
 def test_softmax_shift_invariance_exact():
-    x = Tensor([1.0, -2.0, 3.0, 0.0])
-    shifted = Tensor(x.data + 4.0)  # exactly representable shift
-    np.testing.assert_array_equal(ndt.softmax(x).data, ndt.softmax(shifted).data)
+    x = np.array([1.0, -2.0, 3.0, 0.0], dtype=np.float32)
+    # exactly representable shift
+    np.testing.assert_array_equal(_softmax_rows(x), _softmax_rows(x + 4.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,33 +126,44 @@ def test_softmax_rows_sum_to_one_and_shift_stable(vals, c):
         return e / e.sum()
 
     x = np.array(vals, dtype=np.float32)
-    y = ndt.softmax(Tensor(x)).data
+    y = _softmax_rows(x)
     assert abs(y.sum() - 1.0) < 1e-6
     assert np.all(y > 0)
     np.testing.assert_allclose(y, reference(x), atol=1e-6)
     shifted = x + np.float32(c)
-    np.testing.assert_allclose(ndt.softmax(Tensor(shifted)).data, reference(shifted), atol=1e-6)
+    np.testing.assert_allclose(_softmax_rows(shifted), reference(shifted), atol=1e-6)
 
 
 def test_softmax_grad_matches_finite_difference():
+    # attention with one head and v = I, as in _softmax_rows: the gradient
+    # reaching q passes through the softmax's Jacobian
     rng = np.random.default_rng(11)
-    x0 = rng.normal(size=4)
-    w = rng.normal(size=4)  # fixed projection to scalar exercises the Jacobian
+    q0 = np.zeros((4, 16))
+    q0[:, :4] = 4.0 * rng.normal(size=(4, 4))
+    w = rng.normal(size=(4, 16))  # fixed projection to scalar exercises the Jacobian
+    eye = np.eye(4, 16)
     with ndt.dtype_mode("float64"):
-        x = Tensor(x0, requires_grad=True)
-        ndt.backward(ndt.tsum(ndt.mul(ndt.softmax(x), Tensor(w))))
+        q = Tensor(q0, requires_grad=True)
+        ndt.backward(ndt.tsum(ndt.mul(ndt.attention(q, Tensor(eye), Tensor(eye), heads=1), Tensor(w))))
 
         def f(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.mul(ndt.softmax(Tensor(v)), Tensor(w))).item()
+                return ndt.tsum(ndt.mul(ndt.attention(Tensor(v), Tensor(eye), Tensor(eye), heads=1),
+                                        Tensor(w))).item()
 
-        fd = finite_diff(f, x0, eps=1e-3)
-    assert rel_err(x.grad, fd) < 1e-3
+        fd = finite_diff(f, q0, eps=1e-3)
+    assert rel_err(q.grad, fd) < 1e-3
 
 
-def test_softmax_axis_out_of_bounds():
-    with pytest.raises(ValueError):
-        ndt.softmax(Tensor([1.0, 2.0]), axis=3)
+def test_attention_rejects_bad_shapes():
+    for shapes, heads in [
+        ([(4, 6)] * 3, 4),  # 6 not divisible by 4 heads
+        ([(2, 4, 6), (2, 4, 6), (2, 5, 6)], 2),  # q, k, v differ
+        ([(4, 6)] * 3, 0),
+        ([(6,)] * 3, 1),  # no token axis
+    ]:
+        with pytest.raises(ValueError, match="attention"):
+            ndt.attention(*(Tensor(np.zeros(s)) for s in shapes), heads=heads)
 
 
 def _unit_affine(d):
@@ -274,17 +309,6 @@ def test_concat_backward_splits():
     np.testing.assert_array_equal(b.grad, np.full((3, 2), 3.0))
 
 
-def test_permute_reshape_roundtrip_and_grad():
-    rng = np.random.default_rng(19)
-    x0 = rng.normal(size=(2, 3, 4)).astype(np.float32)
-    x = Tensor(x0, requires_grad=True)
-    y = ndt.permute(x, (2, 0, 1))
-    z = ndt.permute(y, (1, 2, 0))
-    np.testing.assert_array_equal(z.data, x0)
-    ndt.backward(ndt.tsum(ndt.reshape(z, (24,))))
-    np.testing.assert_array_equal(x.grad, np.ones_like(x0))
-
-
 def test_broadcast_bias_add_grad():
     rng = np.random.default_rng(23)
     x0 = rng.normal(size=(5, 3))
@@ -402,10 +426,10 @@ def test_no_grad_is_per_thread():
 
 
 def test_ops_do_not_mutate_inputs():
-    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    x = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
     snap = x.data.copy()
     g, b = _unit_affine(3)
-    ndt.softmax(x)
+    ndt.attention(x, x, x, heads=1)
     ndt.gelu(x)
     ndt.layernorm(x, g, b)
     ndt.mul(x, 2.0)
@@ -416,9 +440,9 @@ def test_ops_do_not_mutate_inputs():
 
 def test_forward_determinism_bitwise():
     rng = np.random.default_rng(29)
-    x0 = rng.normal(size=(4, 4)).astype(np.float32)
-    a = ndt.softmax(Tensor(x0), axis=-1).data
-    b = ndt.softmax(Tensor(x0), axis=-1).data
+    q, k, v = (rng.normal(size=(2, 5, 8)).astype(np.float32) for _ in range(3))
+    a = ndt.attention(Tensor(q), Tensor(k), Tensor(v), heads=2).data
+    b = ndt.attention(Tensor(q), Tensor(k), Tensor(v), heads=2).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -427,14 +451,15 @@ def test_forward_determinism_bitwise():
 def test_forward_ops_finite_on_finite_inputs(vals):
     x = Tensor(np.array(vals, dtype=np.float32))
     g, b = _unit_affine(len(vals))
-    for out in (ndt.softmax(x), ndt.gelu(x), ndt.layernorm(x, g, b), ndt.tmean(x)):
+    assert np.all(np.isfinite(_softmax_rows(x.data)))
+    for out in (ndt.gelu(x), ndt.layernorm(x, g, b), ndt.tmean(x)):
         assert np.all(np.isfinite(out.data))
 
 
 def test_mse_examples():
     p = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert ndt.mse(p, Tensor(p.data.copy())).item() == 0.0
-    assert ndt.mse(ndt.add(p, 1.0), Tensor(p.data.copy())).item() == pytest.approx(1.0)
+    assert ndt.mse(ndt.add(p, Tensor(1.0)), Tensor(p.data.copy())).item() == pytest.approx(1.0)
 
 
 def test_mse_grad():
@@ -502,14 +527,12 @@ def _grad_fn_cases(rng):
         s = "x".join(map(str, shape)) or "0d"
         case(f"add_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.add(a, b))
         case(f"add_fanout_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.add(a, a))
-        case(f"sub_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.sub(a, b))
         case(f"mul_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.mul(a, b))
-        case(f"scale_neg_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.neg(ndt.scale(a, 0.5)))
+        case(f"mul_scalar_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.mul(a, 0.5))
         case(f"gelu_{s}", lambda shape=shape: [x(*shape)], ndt.gelu)
         case(f"tsum_{s}", lambda shape=shape: [x(*shape)], ndt.tsum)
         case(f"mse_{s}", lambda shape=shape: [x(*shape), x(*shape)], ndt.mse)
         if shape:
-            case(f"softmax_{s}", lambda shape=shape: [x(*shape)], ndt.softmax)
             case(f"layernorm_{s}", lambda shape=shape: [x(*shape), x(shape[-1]), x(shape[-1])],
                  ndt.layernorm)
             case(f"concat_{s}", lambda shape=shape: [x(*shape), x(*shape)],
@@ -519,14 +542,16 @@ def _grad_fn_cases(rng):
             case(f"add_broadcast_{s}", lambda shape=shape: [x(*shape), x(shape[-1])],
                  lambda a, b: ndt.add(a, b))
     case("matmul_2d", lambda: [x(3, 4), x(4, 5)], ndt.matmul)
-    case("matmul_batched_4d", lambda: [x(2, 3, 4, 5), x(2, 3, 5, 2)], ndt.matmul)
+    case("matmul_4d_weight", lambda: [x(2, 3, 4, 5), x(5, 2)], ndt.matmul)
     case("matmul_stacked_weight", lambda: [x(2, 3, 4), x(4, 5)], ndt.matmul)
     case("matmul_stacked_constant_input", lambda: [Tensor(_frozen(x(2, 3, 4).data)), x(4, 5)],
          ndt.matmul)
     case("linear_2d", lambda: [x(3, 4), x(4, 5), x(5)], ndt.linear)
     case("linear_4d", lambda: [x(2, 3, 2, 4), x(4, 5), x(5)], ndt.linear)
-    case("transpose_permute_reshape", lambda: [x(2, 3, 4)],
-         lambda a: ndt.reshape(ndt.permute(ndt.transpose(a), (1, 0, 2)), (12, 2)))
+    case("attention_3d", lambda: [x(2, 5, 6), x(2, 5, 6), x(2, 5, 6)],
+         lambda q, k, v: ndt.attention(q, k, v, heads=2))
+    case("attention_4d_one_head", lambda: [x(2, 3, 4, 4), x(2, 3, 4, 4), x(2, 3, 4, 4)],
+         lambda q, k, v: ndt.attention(q, k, v, heads=1))
     case("gather_rows_batch_distinct", lambda: [x(2, 5, 3)],
          lambda a: ndt.gather_rows_batch(a, [[4, 0, 2], [1, 3, 0]]))
     case("gather_rows_batch_repeated", lambda: [x(2, 5, 3)],
@@ -572,6 +597,38 @@ def _softmax_reference(x, axis):
     def grad_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return ((g - dot) * y,)
+
+    return y, grad_fn
+
+
+def _attention_reference(q, k, v, heads):
+    """The chain of generic ops that ``attention`` replaced, op for op: each
+    reshape/permute/transpose result made contiguous, the 1/sqrt(dh) scale
+    as its own product, ``_softmax_reference``, and a backward through the
+    transposed views those ops handed on."""
+    *lead, n, d = q.shape
+    dh = d // heads
+    split = (*lead, n, heads, dh)
+    nd = len(split)
+    to_heads = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # its own inverse
+    s = 1.0 / math.sqrt(dh)
+
+    def heads_of(x):
+        return np.ascontiguousarray(np.transpose(x.reshape(split), to_heads))
+
+    qh, kh, vh = heads_of(q), heads_of(k), heads_of(v)
+    kt = np.ascontiguousarray(np.swapaxes(kh, -1, -2))
+    weights, softmax_grad = _softmax_reference((qh @ kt) * s, -1)
+    y = np.ascontiguousarray(np.transpose(weights @ vh, to_heads)).reshape(q.shape)
+
+    def grad_fn(g):
+        gh = np.transpose(g.reshape(split), to_heads)
+        gw = gh @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(weights, -1, -2) @ gh
+        gs = softmax_grad(gw)[0] * s
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        return tuple(np.transpose(x, to_heads).reshape(q.shape) for x in (gq, gk, gv))
 
     return y, grad_fn
 
@@ -633,8 +690,6 @@ def test_in_place_kernels_match_textbook_bytes(dtype, shape):
         g0 = rng.normal(size=shape).astype(dtype)
         for op, ref in (
             (lambda: ndt.gelu(Tensor(x0, requires_grad=True)), lambda: _gelu_reference(x0)),
-            (lambda: ndt.softmax(Tensor(x0, requires_grad=True), axis=-1),
-             lambda: _softmax_reference(x0, -1)),
             (lambda: ndt.layernorm(Tensor(x0, requires_grad=True), Tensor(gam, requires_grad=True),
                                    Tensor(bet, requires_grad=True)),
              lambda: _layernorm_reference(x0, gam, bet)),
@@ -702,3 +757,22 @@ def test_linear_grad_matches_finite_difference():
                     return ndt.tsum(ndt.mul(ndt.linear(*args), Tensor(c0))).item()
 
             assert rel_err(t.grad, finite_diff(f, vals[i], 1e-5)) < 1e-7
+
+
+# the backbone's and decoder's shapes (16 visible of 64 tokens), a 4-D lead and
+# one head; 64 keys are enough for the layout of kᵀ to show in the bytes
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape, heads", [((2, 16, 64), 4), ((2, 64, 32), 4), ((2, 2, 64, 16), 2), ((3, 64, 8), 1)])
+def test_attention_matches_composed_chain_bytes(dtype, shape, heads):
+    rng = np.random.default_rng(67)
+    with ndt.dtype_mode(dtype):
+        q0, k0, v0 = (_spread(rng, shape, dtype) for _ in range(3))
+        g0 = rng.normal(size=shape).astype(dtype)
+        out = ndt.attention(*(Tensor(x, requires_grad=True) for x in (q0, k0, v0)), heads=heads)
+        y_ref, grad_ref = _attention_reference(q0, k0, v0, heads)
+        assert out.data.dtype == y_ref.dtype and out.data.tobytes() == y_ref.tobytes()
+        (node,) = ndt.active_tape()
+        for got, want in zip(node.grad_fn(g0), grad_ref(g0)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    ndt.active_tape().clear()

@@ -205,6 +205,24 @@ def test_run_seg_probe_freezes_backbone_and_reports():
     assert head.weight.shape == (16, 2)
 
 
+def test_run_seg_probe_resizes_non_square_sets():
+    # 32x48 against a 32 px net: the heights agree, the widths do not; the
+    # set probes exactly as the same set resized to 32x32 first
+    dims = m.ModelDims(input_size=32, patch_size=4, embed_dim=16, depth=1,
+                       heads=4, decoder_embed_dim=8, decoder_depth=1)
+    net = m.build_ofanet(dims, [REG.lookup("sentinel1")], seed=2)
+    data = stack_samples(
+        "sentinel1", gen_seg_dataset(REG.lookup("sentinel1"), 20, 2, 3, size=48)
+    )
+    data.images, data.masks = data.images[:, :32], data.masks[:, :32]
+    cfg = ProbeConfig(task=SEG_TASK, k_classes=2, epochs=40)
+    head, report = run_seg_probe(net, data, cfg, "random-init")
+    data.images, data.masks = resize_nearest(data.images, 32), resize_nearest(data.masks, 32)
+    head_sq, report_sq = run_seg_probe(net, data, cfg, "random-init")
+    np.testing.assert_array_equal(head.weight, head_sq.weight)
+    assert report.value == report_sq.value
+
+
 def test_cached_features_equal_recomputation():
     net = small_net()
     data = stack_samples(

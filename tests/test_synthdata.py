@@ -179,6 +179,12 @@ def test_resize_nearest_mask_safe():
     np.testing.assert_array_equal(down, mask)
 
 
+def test_resize_nearest_returns_a_stack_at_size_as_it_is():
+    stack = np.arange(2 * 4 * 4 * 3, dtype=np.float32).reshape(2, 4, 4, 3)
+    assert sd.resize_nearest(stack, 4) is stack
+    assert sd.resize_nearest(stack[:, :, :3], 4).shape == (2, 4, 4, 3)
+
+
 def test_resize_nearest_image_channels():
     img = sd.gen_pretrain_sample(NAIP, 1, 0, size=16).image
     out = sd.resize_nearest(img[None], 32)[0]

@@ -6,7 +6,7 @@ from ofanet import model as m
 from ofanet import trainer
 from ofanet.modalities import ModalityRegistry, ModalitySpec, builtin_modalities, default_registry
 from ofanet.runconfig import TrainConfig
-from ofanet.synthdata import gen_pretrain_stream, save_dataset, stack_samples
+from ofanet.synthdata import gen_pretrain_stream, resize_nearest, save_dataset, stack_samples
 from ofanet.trainer import OptimizerState, lr_at, optimizer_step, pretrain
 
 
@@ -309,6 +309,35 @@ def test_pretrain_file_backed_roundtrip(tmp_path):
     in_memory = pretrain(tiny_config())
     # same seed generates the same stream, so the two paths coincide
     assert from_files.log_lines == in_memory.log_lines
+
+
+def test_pretrain_file_backed_resizes_non_square_images(tmp_path):
+    # 32x48 streams at input_size 32 (the heights agree, the widths do not)
+    # train exactly as the same streams resized to 32x32 first
+    reg = default_registry()
+    wide, square = tmp_path / "wide", tmp_path / "square"
+    wide.mkdir()
+    square.mkdir()
+    for mid in ("sentinel1", "naip"):
+        ds = stack_samples(mid, gen_pretrain_stream(reg.lookup(mid), 11, 32, size=48))
+        ds.images = ds.images[:, :32]
+        save_dataset(wide / f"pretrain_{mid}.ofad", ds)
+        ds.images = resize_nearest(ds.images, 32)
+        save_dataset(square / f"pretrain_{mid}.ofad", ds)
+    from_wide = pretrain(tiny_config(input_size=32, data_dir=str(wide)))
+    assert from_wide.log_lines == pretrain(tiny_config(input_size=32, data_dir=str(square))).log_lines
+
+
+def test_pretrain_file_backed_rejects_another_modalitys_file(tmp_path):
+    reg = default_registry()
+    save_dataset(tmp_path / "pretrain_sentinel1.ofad",
+                 stack_samples("sentinel1", gen_pretrain_stream(reg.lookup("sentinel1"), 11, 32, size=16)))
+    # another 3-band sensor's images, written where naip's stream belongs
+    aerial = ModalitySpec("aerial", 3)
+    save_dataset(tmp_path / "pretrain_naip.ofad",
+                 stack_samples("aerial", gen_pretrain_stream(aerial, 11, 32, size=16)))
+    with pytest.raises(ValueError, match=r"pretrain_naip\.ofad: holds modality 'aerial', expected 'naip'"):
+        pretrain(tiny_config(data_dir=str(tmp_path)))
 
 
 def test_pretrain_stops_on_non_finite_loss(tmp_path):
