@@ -1,10 +1,12 @@
 """File I/O: bounds-checked reads for the OFAD and OFAC binary formats, and
 the atomic write every file the program writes goes through.
 
-A reader holds one file's bytes and a cursor. Every read first checks that
-the bytes it needs are there, so a truncated or corrupt file raises a
-``ValueError`` that names the path and the byte offset, never a raw
-``struct.error`` or a numpy "buffer is smaller than requested size".
+A reader holds one file's bytes, read into a writable buffer, and a cursor.
+Every read first checks that the bytes it needs are there, so a truncated or
+corrupt file raises a ``ValueError`` that names the path and the byte
+offset, never a raw ``struct.error`` or a numpy "buffer is smaller than
+requested size". Arrays are views of the buffer, so a caller that keeps one
+keeps the file's single copy rather than copying it out.
 
 ``atomic_write`` writes to a temp file beside the target and renames it into
 place, so a failed write leaves the old file (or no file) and no partial one.
@@ -13,6 +15,7 @@ place, so a failed write leaves the old file (or no file) and no partial one.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 from typing import BinaryIO, Callable, NoReturn
@@ -27,7 +30,15 @@ class BinaryReader:
         self.path = path
         self.name = name
         with open(path, "rb") as fh:
-            self.raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            # the fixed-size records of an OFAD file run to its end, so a
+            # buffer in which the file ends on an 8-byte boundary leaves its
+            # float arrays aligned; np.empty, unlike bytearray, skips a
+            # zero-fill pass that readinto overwrites anyway
+            pad = -size % 8
+            buf = np.empty(pad + size, dtype=np.uint8)
+            got = fh.readinto(memoryview(buf)[pad:])
+        self.raw = memoryview(buf)[pad : pad + got]
         self.off = 0
 
     def fail(self, what: str, at: int | None = None) -> NoReturn:
@@ -45,7 +56,7 @@ class BinaryReader:
 
     def read(self, nbytes: int, what: str) -> bytes:
         start = self.take(nbytes, what)
-        return self.raw[start : start + nbytes]
+        return self.raw[start : start + nbytes].tobytes()
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack_from(fmt, self.raw, self.take(struct.calcsize(fmt), what))
@@ -58,7 +69,7 @@ class BinaryReader:
             self.fail(f"{what} is not {encoding} text", start)
 
     def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """Read-only view of the next ``shape`` items of ``dtype``."""
+        """Writable view of the next ``shape`` items of ``dtype``."""
         dtype = np.dtype(dtype)
         count = math.prod(shape)  # python ints: a corrupt extent cannot overflow
         start = self.take(count * dtype.itemsize, what)

@@ -11,13 +11,17 @@ lives strictly under an embedder or decoder name; the two sin-cos tables
 are fixed and shared.
 
 There is one forward path, and it is batched: every stage takes [b, ...]
-arrays, and a single image is a batch of 1. ``mim_forward_batch`` composes
+arrays, and a single image is a batch of 1. Training works on patch rows:
+``mim_forward_batch`` takes a mini-batch already in ``patchify`` layout
+(the trainer patchifies each stream once, at load) and composes
 ``embed_patches``, ``draw_masks``, ``encode_tokens``, ``decode_tokens`` and
-``masked_loss`` into one training graph per mini-batch; ``forward_tokens``
-and ``forward_features`` reuse the embed and encode stages off-tape for
-frozen feature extraction. A block's attention is its q/k/v projections
-(``linear``, ``matmul``), one ``ndtensor.attention`` node and the output
-``linear``; every ``matmul`` multiplies a stacked input by a weight matrix.
+the fused masked ``ndtensor.mse`` into one training graph, with the patch
+rows as their own reconstruction targets. ``forward_tokens`` and
+``forward_features`` take [b, h, w, c] images, patchify them, and reuse the
+embed and encode stages off-tape for frozen feature extraction. A block's
+attention is its q/k/v projections (``linear``, ``matmul``), one
+``ndtensor.attention`` node and the output ``linear``; every ``matmul``
+multiplies a stacked input by a weight matrix.
 """
 
 from __future__ import annotations
@@ -322,23 +326,20 @@ def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
     return x
 
 
-def embed_patches(net: OfaNet, images, modality: str) -> tuple[np.ndarray, Tensor]:
-    """Patchify [b, h, w, c] images, project with the modality's embedder, add
-    positions: (patches [b, n, p*p*c], tokens [b, n, d])."""
+def embed_patches(net: OfaNet, patches: np.ndarray, modality: str) -> Tensor:
+    """Project [b, n, p*p*c] patch rows with the modality's embedder and add
+    positions: tokens [b, n, d]."""
     if modality not in net.channels:
         raise KeyError(f"no embedder for modality {modality!r}; have {sorted(net.channels)}")
     channels = net.channels[modality]
-    arr = np.asarray(images)
-    if arr.ndim != 4 or arr.shape[3] != channels:
-        raise ValueError(f"{modality} expects [b, h, w, {channels}] input, got shape {arr.shape}")
-    if arr.shape[1] != net.dims.input_size or arr.shape[2] != net.dims.input_size:
+    shape = (net.dims.tokens, net.dims.patch_size**2 * channels)
+    if patches.ndim != 3 or patches.shape[1:] != shape:
         raise ValueError(
-            f"input must be resized to {net.dims.input_size}px first, got {arr.shape[1:3]}"
+            f"{modality} has {channels} bands: expects [b, {shape[0]}, {shape[1]}] patch rows, "
+            f"got shape {patches.shape}"
         )
     weight, bias = _section(net, f"embedder.{modality}")
-    patches = patchify(arr, net.dims.patch_size)
-    tokens = ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos)
-    return patches, tokens
+    return ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos)
 
 
 def draw_masks(n: int, ratio: float, rng_keys) -> tuple[np.ndarray, np.ndarray]:
@@ -381,38 +382,35 @@ def decode_tokens(
     return ndt.linear(x, head_w, head_b)
 
 
-def masked_loss(pred: Tensor, targets: np.ndarray, masked: np.ndarray) -> Tensor:
-    """MSE over the masked rows of [b, n, p*p*c] only; visible rows get
-    exactly zero gradient."""
-    masked = np.asarray(masked, dtype=np.intp)
-    if masked.ndim != 2 or masked.shape[1] == 0:
-        raise ValueError(f"masked loss needs [b, m] masked rows with m >= 1, got shape {masked.shape}")
-    if pred.shape != targets.shape:
-        raise ValueError(f"pred shape {pred.shape} != target shape {targets.shape}")
-    target_rows = targets[np.arange(masked.shape[0])[:, None], masked]
-    return ndt.mse(ndt.gather_rows_batch(pred, masked), Tensor(target_rows))
-
-
-def mim_forward_batch(net: OfaNet, images: np.ndarray, modality: str, ratio: float, rng_keys) -> Tensor:
+def mim_forward_batch(net: OfaNet, patches: np.ndarray, modality: str, ratio: float, rng_keys) -> Tensor:
     """Mean masked-reconstruction loss of a mini-batch as one graph.
 
-    images [b, h, w, c]; rng_keys gives one mask key per sample, so sample i
-    draws the same split in any batch. A single image is a batch of 1.
+    patches [b, n, p*p*c] are the images' patch rows (``patchify``), which
+    are also the reconstruction targets; rng_keys gives one mask key per
+    sample, so sample i draws the same split in any batch. A single image is
+    a batch of 1.
     """
-    if len(rng_keys) != len(images):
-        raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {len(images)}")
-    targets, tokens = embed_patches(net, images, modality)
+    if len(rng_keys) != len(patches):
+        raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {len(patches)}")
+    tokens = embed_patches(net, patches, modality)
     masked, visible = draw_masks(net.dims.tokens, ratio, rng_keys)
     latent = encode_tokens(net, tokens, visible)
     pred = decode_tokens(net, latent, masked, visible, modality)
-    return masked_loss(pred, targets, masked)
+    return ndt.mse(pred, patches, masked)
 
 
 def forward_tokens(net: OfaNet, images, modality: str) -> Tensor:
     """Frozen per-token features [b, n, d] of [b, h, w, c] images; decoders
     unused, nothing on tape."""
+    arr = np.asarray(images)
+    size = net.dims.input_size
+    if arr.ndim != 4 or arr.shape[1:3] != (size, size):
+        raise ValueError(
+            f"{modality} expects [b, {size}, {size}, c] images, resized to {size}px first; "
+            f"got shape {arr.shape}"
+        )
     with ndt.no_grad():
-        return encode_tokens(net, embed_patches(net, images, modality)[1])
+        return encode_tokens(net, embed_patches(net, patchify(arr, net.dims.patch_size), modality))
 
 
 def forward_features(net: OfaNet, images, modality: str) -> Tensor:

@@ -3,26 +3,31 @@
 Just enough surface for a small Vision Transformer, and no op it does not
 call: ``add``, ``mul`` (also by a python scalar), ``matmul``, ``linear``,
 ``attention``, the batched row gather, ``concat``, layer norm, GELU,
-``tsum``/``tmean`` and MSE. ``matmul`` is ``[..., k] @ [k, m]`` with the
-leading dims folded into one gemm, and computes no gradient for an input
-that does not require one. ``linear(a, w, b)`` adds the bias into the
+``tsum``/``tmean`` and the masked MSE. ``matmul`` is ``[..., k] @ [k, m]``
+with the leading dims folded into one gemm, and computes no gradient for an
+input that does not require one. ``linear(a, w, b)`` adds the bias into the
 matmul's own fresh array: the two tape nodes and bytes of
 ``add(matmul(a, w), b)``, one array fewer. ``attention`` is one tape node for
 head split, scaled scores, softmax, weighted sum and head merge. The row
 gather's backward scatters by plain assignment when each batch row's
 indices are distinct (a mask permutation) and scatter-adds otherwise.
+``mse`` is one tape node for the MIM loss: it reads only the masked rows of
+the prediction and of a constant target, and its backward assigns straight
+into a zeroed full-size gradient.
 
 Ops and their grad_fns never write into their inputs or into a gradient
 they receive (``add`` hands one gradient array to both parents). They may
 write into arrays they allocated themselves, which is how ``gelu``,
-``attention`` and ``layernorm`` chain their steps with ``out=``; each such
-chain keeps the textbook expression's operations and their order, so the
-bytes are the same. Outputs are fresh contiguous arrays. Every
-op whose result requires grad is recorded on a module-level tape; calling
-``backward(loss)`` walks the tape once in reverse, accumulates ``.grad`` on
-the leaves that require grad (tensors no recorded op produced, such as
-parameters), and clears the tape. Intermediate results never get a
-``.grad``. ``no_grad`` switches recording off for the calling thread only.
+``attention`` and ``layernorm`` chain their steps with ``out=`` and how
+``mse``'s backward reuses its forward's difference (so, like every node,
+its grad_fn runs once); each such chain keeps the textbook expression's
+operations and their order, so the bytes are the same. Outputs are fresh
+contiguous arrays. Every op whose result requires grad is recorded on a
+module-level tape; calling ``backward(loss)`` walks the tape once in
+reverse, accumulates ``.grad`` on the leaves that require grad (tensors no
+recorded op produced, such as parameters), and clears the tape.
+Intermediate results never get a ``.grad``. ``no_grad`` switches recording
+off for the calling thread only.
 
 Training runs in float32, except that ``mse`` accumulates and returns its
 scalar loss in float64 (its gradient is in the prediction's dtype).
@@ -422,30 +427,51 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements, as a float64 scalar.
+def mse(pred: Tensor, target: np.ndarray, rows) -> Tensor:
+    """Masked mean squared error as a float64 scalar: pred and the constant
+    target are [b, n, d], rows [b, m] names the masked rows of each sample,
+    distinct within a sample (a mask split). Only those rows count, and the
+    other rows of ``pred`` get exactly zero gradient.
 
-    The difference is formed in the working dtype; its squares are taken and
-    summed in float64, and the loss stays float64. A float32 loss near 1
-    only resolves steps of 1.2e-7, which swamps the finite differences of
-    parameters whose gradients are ~1e-4. The gradient handed to ``pred``
-    keeps ``pred``'s own dtype.
+    The difference of the gathered rows is formed in the working dtype; its
+    squares are taken and summed in float64, and the loss stays float64. A
+    float32 loss near 1 only resolves steps of 1.2e-7, which swamps the
+    finite differences of parameters whose gradients are ~1e-4. The gradient
+    handed to ``pred`` keeps ``pred``'s own dtype. The backward scales the
+    forward's difference array in place and assigns it into a zeroed
+    gradient: the bytes of ``gather_rows_batch`` followed by an unmasked MSE,
+    without the gathered prediction, the scaled copy or the scatter's sort.
     """
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.shape != target.shape:
-        raise ValueError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
+    pred = _as_tensor(pred)
+    target = np.asarray(target)
+    rows = np.asarray(rows, dtype=np.intp)
+    if pred.ndim != 3 or target.shape != pred.shape:
+        raise ValueError(f"mse expects [b, n, d] pred and target, got {pred.shape} and {target.shape}")
+    b, n, _ = pred.shape
+    if rows.ndim != 2 or rows.shape[0] != b or rows.shape[1] == 0:
+        raise ValueError(f"mse needs [{b}, m] masked rows with m >= 1, got shape {rows.shape}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise IndexError(f"mse masked row out of range for {n} rows")
+    ordered = np.sort(rows, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("mse masked rows repeat within a sample; they must be a mask split")
+    batch = np.arange(b)[:, None]
+    diff = pred.data[batch, rows]
+    # the target's rows in pred's dtype first, as a Tensor of them would be
+    np.subtract(diff, np.asarray(target[batch, rows], dtype=diff.dtype), out=diff)
     count = diff.size
     flat = diff.reshape(-1)
     loss = np.einsum("i,i->", flat, flat, dtype=np.float64) / count
-    target_grad = target.requires_grad
+    psh = pred.shape
 
     def grad_fn(g):
         # a python float keeps diff's dtype; a float64 0-d array would widen it
-        gp = diff * (2.0 * float(g) / count)
-        return gp, (-gp if target_grad else None)
+        np.multiply(diff, 2.0 * float(g) / count, out=diff)
+        gp = np.zeros(psh, dtype=diff.dtype)
+        gp[batch, rows] = diff
+        return (gp,)
 
-    return _result(loss, (pred, target), grad_fn)
+    return _result(loss, (pred,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -336,8 +336,12 @@ def load_dataset(path: str | Path) -> LoadedDataset:
         fields.append(("mask", "u1", (h, w)))
     samples = np.frombuffer(rd.raw, dtype=np.dtype(fields), count=n, offset=start)
     rd.finish("sample data")
-    # copies: the arrays own their memory and stay writable
-    images = np.array(samples["image"], dtype=np.float32, order="C")
+    # the reader's buffer is writable, so an unlabeled set's images are a
+    # view of it; a labeled set's are copied out of the interleaved records
+    if kind == LABEL_NONE:
+        images = samples["image"]
+    else:
+        images = np.array(samples["image"], dtype=np.float32, order="C")
     # a NaN or Inf pixel would flow silently into features, losses and metrics
     if not np.isfinite(images).all():
         bad = int(np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))[0])

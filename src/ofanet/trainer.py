@@ -5,6 +5,10 @@ from one modality, round-robin over the config's modality list, so the five
 streams stay spatially unaligned end to end. The last partial batch per
 modality per epoch is dropped, keeping the per-epoch step count exact.
 
+Each stream is held as patch rows [n, tokens, p*p*c], patchified once when
+it is loaded; a step gathers its mini-batch of rows and hands it to
+``mim_forward_batch``, which embeds them and uses them as the targets.
+
 Each step updates the parameters that received a gradient in place: the
 same Tensor objects get the optimizer's new arrays, and their gradients are
 cleared for the next step. Parameters of the other modalities stay as they
@@ -29,7 +33,7 @@ from . import checkpoint as ckpt
 from . import ndtensor as ndt
 from . import synthdata
 from .binread import atomic_write
-from .model import OfaNet, mim_forward_batch, named_parameters
+from .model import OfaNet, mim_forward_batch, named_parameters, patchify
 from .modalities import ModalityRegistry, ModalitySpec, builtin_modalities, default_registry
 from .runconfig import RunConfig, TrainConfig, serialize_config
 from .seeds import derive_seed, generator
@@ -126,7 +130,12 @@ class PretrainResult:
 def _load_streams(
     config: TrainConfig, specs: list[ModalitySpec]
 ) -> dict[str, np.ndarray]:
-    """[n, s, s, c] image stack per modality, synthesized or file-backed."""
+    """[n, tokens, p*p*c] patch rows per modality, synthesized or file-backed.
+
+    Each image is resized to the input size and patchified once, here, one
+    image at a time into its stream, so no second full-size copy of a
+    stream is held; steps gather their batch straight from these rows."""
+    dims = config.model_dims()
     streams: dict[str, np.ndarray] = {}
     for spec in specs:
         mid = spec.id
@@ -141,17 +150,24 @@ def _load_streams(
                 raise ValueError(
                     f"{path}: {loaded.images.shape[3]} channels, spec says {spec.channels}"
                 )
-            imgs = loaded.images[: config.samples_per_modality]
-            if imgs.shape[0] < config.samples_per_modality:
+            images = loaded.images[: config.samples_per_modality]
+            if images.shape[0] < config.samples_per_modality:
                 raise ValueError(
-                    f"{path}: has {imgs.shape[0]} samples, need {config.samples_per_modality}"
+                    f"{path}: has {images.shape[0]} samples, need {config.samples_per_modality}"
                 )
-            streams[mid] = synthdata.resize_nearest(imgs, config.input_size)
         else:
             samples = synthdata.gen_pretrain_stream(
                 spec, config.seed, config.samples_per_modality, size=config.input_size
             )
-            streams[mid] = np.stack([s.image for s in samples])
+            images = [s.image for s in samples]
+        stream = np.empty(
+            (config.samples_per_modality, dims.tokens, dims.patch_size**2 * spec.channels),
+            dtype=np.float32,
+        )
+        for i, image in enumerate(images):
+            resized = synthdata.resize_nearest(image[None], config.input_size)
+            stream[i] = patchify(resized, dims.patch_size)[0]
+        streams[mid] = stream
     return streams
 
 
@@ -217,15 +233,15 @@ def pretrain(
 
 def _train_step(
     net: OfaNet,
-    images: np.ndarray,
+    patches: np.ndarray,
     modality: str,
     config: TrainConfig,
     state: OptimizerState,
     lr: float,
     global_step: int,
 ) -> float:
-    keys = [derive_seed("mask", config.seed, global_step, slot) for slot in range(images.shape[0])]
-    total = mim_forward_batch(net, images, modality, config.mask_ratio, keys)
+    keys = [derive_seed("mask", config.seed, global_step, slot) for slot in range(patches.shape[0])]
+    total = mim_forward_batch(net, patches, modality, config.mask_ratio, keys)
     ndt.backward(total)
     loss = total.item()
     if not math.isfinite(loss):

@@ -15,6 +15,7 @@ from ofanet.ndtensor import Tensor
 from ofanet.seeds import derive_seed
 from ofanet.synthdata import gen_pretrain_sample
 
+import composed
 from gradcheck import finite_diff, rel_err
 
 REG = default_registry()
@@ -88,14 +89,14 @@ def test_patchify_rejects_indivisible():
 def test_embed_shape_contract():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 1, 0).image
-    _, tokens = m.embed_patches(net, img[None], "sentinel1")
+    tokens = m.embed_patches(net, m.patchify(img[None], 4), "sentinel1")
     assert tokens.shape == (1, 64, 64)
     assert net.dims.grid == (8, 8)
 
 
 def test_embed_zero_image_equals_positional_table():
     net = build_net()
-    _, tokens = m.embed_patches(net, np.zeros((1, 32, 32, 2), dtype=np.float32), "sentinel1")
+    tokens = m.embed_patches(net, np.zeros((1, 64, 32), dtype=np.float32), "sentinel1")
     np.testing.assert_array_equal(tokens.data[0], net.backbone_pos.data)
 
 
@@ -118,19 +119,27 @@ def test_wide_reconstruction_head_keeps_backward_gain_order_one():
 def test_embed_unknown_modality():
     net = build_net()
     with pytest.raises(KeyError, match="gaofen"):
-        m.embed_patches(net, np.zeros((1, 32, 32, 4), dtype=np.float32), "gaofen")
+        m.embed_patches(net, np.zeros((1, 64, 64), dtype=np.float32), "gaofen")
+    with pytest.raises(KeyError, match="gaofen"):
+        m.forward_tokens(net, np.zeros((1, 32, 32, 4), dtype=np.float32), "gaofen")
 
 
 def test_embed_channel_mismatch():
     net = build_net()
     with pytest.raises(ValueError, match="2"):
-        m.embed_patches(net, np.zeros((1, 32, 32, 3), dtype=np.float32), "sentinel1")
+        m.forward_tokens(net, np.zeros((1, 32, 32, 3), dtype=np.float32), "sentinel1")
+    # 3-band patch rows, 4 * 4 * 3 wide, where sentinel1's are 32 wide
+    with pytest.raises(ValueError, match="2 bands"):
+        m.embed_patches(net, np.zeros((1, 64, 48), dtype=np.float32), "sentinel1")
 
 
 def test_embed_requires_resized_input():
     net = build_net()
     with pytest.raises(ValueError, match="resized"):
-        m.embed_patches(net, np.zeros((1, 64, 64, 2), dtype=np.float32), "sentinel1")
+        m.forward_tokens(net, np.zeros((1, 64, 64, 2), dtype=np.float32), "sentinel1")
+    # a 16x16 image's 16 patch rows where a 32x32 image has 64
+    with pytest.raises(ValueError, match=r"\[b, 64, 32\]"):
+        m.embed_patches(net, np.zeros((1, 16, 32), dtype=np.float32), "sentinel1")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +189,7 @@ def test_random_mask_degenerate_ratios():
 
 def _masked_tokens(net, img, modality, key):
     """(tokens, masked, visible) for one image as a batch of 1."""
-    _, tokens = m.embed_patches(net, img[None], modality)
+    tokens = m.embed_patches(net, m.patchify(img[None], net.dims.patch_size), modality)
     masked, visible = m.draw_masks(net.dims.tokens, 0.75, [key])
     return tokens, masked, visible
 
@@ -261,7 +270,7 @@ def test_decode_unknown_modality():
 
 def test_mim_loss_perfect_reconstruction():
     target = np.random.default_rng(1).normal(size=(1, 8, 6)).astype(np.float32)
-    loss = m.masked_loss(Tensor(target.copy()), target, [[1, 3, 5]])
+    loss = ndt.mse(Tensor(target.copy()), target, [[1, 3, 5]])
     assert loss.item() == 0.0
 
 
@@ -269,13 +278,13 @@ def test_mim_loss_ignores_visible_rows():
     target = np.random.default_rng(2).normal(size=(1, 8, 6)).astype(np.float32)
     pred = target.copy()
     pred[0, [0, 2, 4, 6, 7]] = 99.0  # garbage on visible rows only
-    loss = m.masked_loss(Tensor(pred), target, [[1, 3, 5]])
+    loss = ndt.mse(Tensor(pred), target, [[1, 3, 5]])
     assert loss.item() == 0.0
 
 
 def test_mim_loss_constant_offset():
     target = np.random.default_rng(3).normal(size=(1, 8, 6)).astype(np.float32)
-    loss = m.masked_loss(Tensor(target + 1.0), target, [[0, 5]])
+    loss = ndt.mse(Tensor(target + 1.0), target, [[0, 5]])
     assert loss.item() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -283,7 +292,7 @@ def test_mim_loss_gradient_zero_at_visible_rows():
     target = np.random.default_rng(4).normal(size=(1, 8, 6)).astype(np.float32)
     pred = Tensor(np.zeros((1, 8, 6), dtype=np.float32), requires_grad=True)
     masked = np.array([1, 3, 5])
-    ndt.backward(m.masked_loss(pred, target, masked[None]))
+    ndt.backward(ndt.mse(pred, target, masked[None]))
     visible = np.setdiff1d(np.arange(8), masked)
     np.testing.assert_array_equal(pred.grad[0, visible], 0.0)
     assert np.all(pred.grad[0, masked] != 0.0)
@@ -291,17 +300,17 @@ def test_mim_loss_gradient_zero_at_visible_rows():
 
 def test_mim_loss_empty_mask_rejected():
     with pytest.raises(ValueError, match="masked"):
-        m.masked_loss(Tensor(np.zeros((1, 4, 2))), np.zeros((1, 4, 2)), np.zeros((1, 0), dtype=np.intp))
+        ndt.mse(Tensor(np.zeros((1, 4, 2))), np.zeros((1, 4, 2)), np.zeros((1, 0), dtype=np.intp))
 
 
 def test_mim_forward_batch_matches_per_sample_loop():
     # a batch of b equals the mean of b batches of 1 with the same mask keys
     net = build_net(("sentinel1",), dims=tiny_dims())
     spec = REG.lookup("sentinel1")
-    images = np.stack([gen_pretrain_sample(spec, 21, i, size=16).image for i in range(4)])
+    patches = m.patchify(np.stack([gen_pretrain_sample(spec, 21, i, size=16).image for i in range(4)]), 4)
     keys = [derive_seed("eq", i) for i in range(4)]
 
-    batched = m.mim_forward_batch(net, images, "sentinel1", 0.75, keys)
+    batched = m.mim_forward_batch(net, patches, "sentinel1", 0.75, keys)
     ndt.backward(batched)
     grads_batched = {n: t.grad.copy() for n, t in m.named_parameters(net) if t.grad is not None}
     for _, t in m.named_parameters(net):
@@ -309,7 +318,7 @@ def test_mim_forward_batch_matches_per_sample_loop():
 
     total = None
     for i in range(4):
-        loss = m.mim_forward_batch(net, images[i : i + 1], "sentinel1", 0.75, keys[i : i + 1])
+        loss = m.mim_forward_batch(net, patches[i : i + 1], "sentinel1", 0.75, keys[i : i + 1])
         total = loss if total is None else ndt.add(total, loss)
     total = ndt.mul(total, 1.0 / 4)
     ndt.backward(total)
@@ -320,6 +329,45 @@ def test_mim_forward_batch_matches_per_sample_loop():
             assert name not in grads_batched
             continue
         np.testing.assert_allclose(grads_batched[name], t.grad, rtol=1e-4, atol=1e-6)
+
+
+def _image_path_loss(net, images, modality, ratio, keys):
+    """The MIM loss as the image path composed it: the embed patchifies the
+    images, and the loss gathers the prediction's masked rows before an
+    unmasked MSE (``composed.masked_mse``)."""
+    patches = m.patchify(images, net.dims.patch_size)
+    weight, bias = (net.params[f"embedder.{modality}.{k}"] for k in ("weight", "bias"))
+    tokens = ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos)
+    masked, visible = m.draw_masks(net.dims.tokens, ratio, keys)
+    pred = m.decode_tokens(net, m.encode_tokens(net, tokens, visible), masked, visible, modality)
+    return composed.masked_mse(pred, patches, masked)
+
+
+@pytest.mark.parametrize("modality", ["naip", "enmap"])
+def test_patch_row_path_matches_image_path_bytes(modality):
+    # a batch gathered from a stream patchified once at load trains exactly
+    # as the same images gathered and patchified in the step
+    net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=3)
+    spec = REG.lookup(modality)
+    images = np.stack([gen_pretrain_sample(spec, 13, i).image for i in range(6)])
+    stream = np.stack([m.patchify(img, 4) for img in images])
+    batch = [4, 1, 5, 2]
+    keys = [derive_seed("rows", i) for i in range(len(batch))]
+    results = []
+    for loss_of in (lambda: m.mim_forward_batch(net, stream[batch], modality, 0.75, keys),
+                    lambda: _image_path_loss(net, images[batch], modality, 0.75, keys)):
+        loss = loss_of()
+        ndt.backward(loss)
+        grads = {n: t.grad for n, t in m.named_parameters(net) if t.grad is not None}
+        for _, t in m.named_parameters(net):
+            t.grad = None
+        results.append((loss.data.tobytes(), {n: g.tobytes() for n, g in grads.items()}))
+    (loss, grads), (ref_loss, ref_grads) = results
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    assert any(name.startswith(f"embedder.{modality}.") for name in grads)
+    for name in ref_grads:
+        assert grads[name] == ref_grads[name], name
 
 
 def test_gather_rows_batch_matches_loop():
@@ -439,10 +487,10 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
     with ndt.dtype_mode(dtype):
         spec = REG.lookup("sentinel1")
         net = m.build_ofanet(tiny_dims(), [spec], seed=5)
-        images = gen_pretrain_sample(spec, 9, 0, size=16).image[None]
+        patches = m.patchify(gen_pretrain_sample(spec, 9, 0, size=16).image[None], 4)
         mask_keys = [derive_seed("gradcheck-mask")]
 
-        loss = m.mim_forward_batch(net, images, "sentinel1", 0.75, mask_keys)
+        loss = m.mim_forward_batch(net, patches, "sentinel1", 0.75, mask_keys)
         ndt.backward(loss)
         grads = {name: t.grad.copy() for name, t in m.named_parameters(net)}
 
@@ -453,7 +501,7 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
             def loss_at(values, tensor=tensor):
                 tensor.data = values
                 with ndt.no_grad():
-                    out = m.mim_forward_batch(net, images, "sentinel1", 0.75, mask_keys).item()
+                    out = m.mim_forward_batch(net, patches, "sentinel1", 0.75, mask_keys).item()
                 return out
 
             flat = base.reshape(-1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ofanet import ndtensor as ndt
 from ofanet.ndtensor import Tensor
 
+import composed
 from gradcheck import finite_diff, rel_err
 
 
@@ -457,19 +458,34 @@ def test_forward_ops_finite_on_finite_inputs(vals):
 
 
 def test_mse_examples():
-    p = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert ndt.mse(p, Tensor(p.data.copy())).item() == 0.0
-    assert ndt.mse(ndt.add(p, Tensor(1.0)), Tensor(p.data.copy())).item() == pytest.approx(1.0)
+    p = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+    assert ndt.mse(p, p.data.copy(), [[0, 1]]).item() == 0.0
+    assert ndt.mse(ndt.add(p, Tensor(1.0)), p.data.copy(), [[1, 0]]).item() == pytest.approx(1.0)
 
 
 def test_mse_grad():
+    # every row masked, in shuffled order: the gradient of the plain MSE
     rng = np.random.default_rng(31)
-    p0 = rng.normal(size=(3, 2))
-    t0 = rng.normal(size=(3, 2))
+    p0 = rng.normal(size=(1, 3, 2))
+    t0 = rng.normal(size=(1, 3, 2))
     with ndt.dtype_mode("float64"):
         p = Tensor(p0, requires_grad=True)
-        ndt.backward(ndt.mse(p, Tensor(t0)))
+        ndt.backward(ndt.mse(p, t0, [[2, 0, 1]]))
         np.testing.assert_allclose(p.grad, 2.0 * (p0 - t0) / p0.size, rtol=1e-12)
+
+
+def test_mse_rejects_rows_that_are_not_a_mask_split():
+    p = Tensor(np.zeros((2, 4, 3)), requires_grad=True)
+    t = np.zeros((2, 4, 3))
+    with pytest.raises(ValueError, match="repeat"):
+        ndt.mse(p, t, [[0, 1], [2, 2]])
+    with pytest.raises(IndexError, match="4 rows"):
+        ndt.mse(p, t, [[0, 4], [1, 2]])
+    with pytest.raises(ValueError, match=r"\[2, m\]"):
+        ndt.mse(p, t, [[0, 1]])
+    with pytest.raises(ValueError, match="target"):
+        ndt.mse(p, np.zeros((2, 4, 2)), [[0, 1], [1, 2]])
+    assert not ndt.active_tape()
 
 
 def test_default_dtype_is_float32_and_mode_switch():
@@ -481,11 +497,11 @@ def test_default_dtype_is_float32_and_mode_switch():
 
 def test_mse_float64_loss_float32_grad():
     rng = np.random.default_rng(32)
-    p0 = rng.normal(size=(4, 7)).astype(np.float32)
-    t0 = rng.normal(size=(4, 7)).astype(np.float32)
+    p0 = rng.normal(size=(1, 4, 7)).astype(np.float32)
+    t0 = rng.normal(size=(1, 4, 7)).astype(np.float32)
     with ndt.dtype_mode("float32"):
         p = Tensor(p0, requires_grad=True)
-        loss = ndt.mse(p, Tensor(t0))
+        loss = ndt.mse(p, t0, [[3, 1, 0, 2]])
         assert loss.data.dtype == np.float64
         # the difference is taken in float32, the kernel's working dtype
         diff = (p0 - t0).astype(np.float64)
@@ -531,7 +547,15 @@ def _grad_fn_cases(rng):
         case(f"mul_scalar_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.mul(a, 0.5))
         case(f"gelu_{s}", lambda shape=shape: [x(*shape)], ndt.gelu)
         case(f"tsum_{s}", lambda shape=shape: [x(*shape)], ndt.tsum)
-        case(f"mse_{s}", lambda shape=shape: [x(*shape), x(*shape)], ndt.mse)
+        # the masked MSE, whose backward scales its forward's difference in
+        # place, over the shape's items as [b, n, d] (b only from 3 axes up),
+        # every other row masked from the last
+        b, d = (shape[0] if len(shape) > 2 else 1), (shape[-1] if shape else 1)
+        bnd = (b, math.prod(shape) // (b * d), d)
+        target = _frozen(rng.normal(size=bnd).astype(np.float32))
+        rows = np.tile(np.arange(bnd[1])[::-2], (b, 1))
+        case(f"mse_{s}", lambda bnd=bnd: [x(*bnd)],
+             lambda a, target=target, rows=rows: ndt.mse(a, target, rows))
         if shape:
             case(f"layernorm_{s}", lambda shape=shape: [x(*shape), x(shape[-1]), x(shape[-1])],
                  ndt.layernorm)
@@ -776,3 +800,53 @@ def test_attention_matches_composed_chain_bytes(dtype, shape, heads):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
     ndt.active_tape().clear()
+
+
+# desk patch-row widths (naip 4 * 4 * 3 = 48, gaofen 64, enmap 3,584), 48 of 64
+# rows masked; float32 targets, as the trainer's patch rows are. A loss
+# gradient of -0.75 turns exact-zero differences and the untouched rows'
+# products into -0.0, so a backward that scales after its scatter, or
+# scatter-adds, shows in the bytes
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("width", [48, 64, 3584])
+def test_mse_matches_composed_chain_bytes(dtype, width):
+    rng = np.random.default_rng(71)
+    b, n, m = 3, 64, 48
+    with ndt.dtype_mode(dtype):
+        target = rng.normal(size=(b, n, width)).astype(np.float32)
+        pred0 = _spread(rng, (b, n, width), dtype)
+        pred0.reshape(-1)[5::7] = target.reshape(-1)[5::7]
+        rows = np.stack([rng.permutation(n)[:m] for _ in range(b)])
+
+        g0 = np.array(-0.75)
+        loss = ndt.mse(Tensor(pred0, requires_grad=True), target, rows)
+        (node,) = ndt.active_tape()
+        (got,) = node.grad_fn(g0)
+        ndt.active_tape().clear()
+        ref = composed.masked_mse(Tensor(pred0, requires_grad=True), target, rows)
+        gather_node, mse_node = ndt.active_tape()
+        (want,) = gather_node.grad_fn(*mse_node.grad_fn(g0))
+        ndt.active_tape().clear()
+        assert loss.data.dtype == ref.data.dtype == np.float64
+        assert loss.data.tobytes() == ref.data.tobytes()
+        assert got.dtype == want.dtype == pred0.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+        # the data tell those two mutant backwards from the real one
+        batch = np.arange(b)[:, None]
+        diff = pred0[batch, rows] - target[batch, rows].astype(dtype)
+        scale = 2.0 * float(g0) / diff.size
+        after = np.zeros_like(pred0)
+        after[batch, rows] = diff
+        after *= scale
+        added = np.zeros_like(pred0)
+        np.add.at(added, (batch, rows), diff * scale)
+        assert after.tobytes() != want.tobytes() and added.tobytes() != want.tobytes()
+
+        # and through backward, from the loss's own unit gradient
+        grads = []
+        for build in (ndt.mse, composed.masked_mse):
+            pred = Tensor(pred0, requires_grad=True)
+            ndt.backward(build(pred, target, rows))
+            grads.append(pred.grad)
+        assert grads[0].dtype == grads[1].dtype and grads[0].tobytes() == grads[1].tobytes()

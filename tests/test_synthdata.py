@@ -226,6 +226,21 @@ def test_ofad_roundtrip_byte_identical(tmp_path, kind):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("mid", ["naip", "gaofen", "enmap", "sentinel2"])
+def test_ofad_load_holds_one_copy_of_the_images(tmp_path, mid):
+    # ids of 4, 6, 5 and 9 letters put the sample data at every offset mod 4
+    spec = REG.lookup(mid)
+    for kind, samples in (("pretrain", sd.gen_pretrain_stream(spec, 1, 3, size=8)),
+                          ("cls", sd.gen_cls_dataset(spec, 3, 2, 1, size=8))):
+        path = tmp_path / f"{kind}.ofad"
+        sd.save_dataset(path, sd.stack_samples(mid, samples))
+        images = sd.load_dataset(path).images
+        assert images.dtype == np.float32
+        assert images.flags.c_contiguous and images.flags.aligned and images.flags.writeable
+        # unlabeled: a view of the file's buffer; labeled: copied out of the records
+        assert images.flags.owndata == (kind == "cls")
+
+
 def test_ofad_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ofad"
     bad.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -186,11 +186,12 @@ def test_train_step_updates_parameters_in_place():
     specs = [default_registry().lookup(mid) for mid in cfg.modalities]
     net = m.build_ofanet(cfg.model_dims(), specs, cfg.seed)
     images = np.stack([s.image for s in gen_pretrain_stream(specs[0], 5, 4, size=cfg.input_size)])
+    patches = m.patchify(images, cfg.patch_size)
     before = dict(m.named_parameters(net))
     data_before = {name: t.data for name, t in before.items()}
     state = OptimizerState()
     for step in range(2):
-        trainer._train_step(net, images, "sentinel1", cfg, state, 1e-3, step)
+        trainer._train_step(net, patches, "sentinel1", cfg, state, 1e-3, step)
         after = dict(m.named_parameters(net))
         assert list(after) == list(before)
         for name, t in after.items():
@@ -338,6 +339,32 @@ def test_pretrain_file_backed_rejects_another_modalitys_file(tmp_path):
                  stack_samples("aerial", gen_pretrain_stream(aerial, 11, 32, size=16)))
     with pytest.raises(ValueError, match=r"pretrain_naip\.ofad: holds modality 'aerial', expected 'naip'"):
         pretrain(tiny_config(data_dir=str(tmp_path)))
+
+
+def test_pretrain_file_backed_rejects_wrong_channel_count(tmp_path):
+    # a 3-band stream where sentinel1's 2-band one belongs
+    reg = default_registry()
+    save_dataset(tmp_path / "pretrain_sentinel1.ofad",
+                 stack_samples("sentinel1", gen_pretrain_stream(reg.lookup("naip"), 11, 32, size=16)))
+    with pytest.raises(ValueError, match=r"pretrain_sentinel1\.ofad: 3 channels, spec says 2"):
+        pretrain(tiny_config(data_dir=str(tmp_path)))
+
+
+def test_streams_are_patch_rows_of_the_resized_images(tmp_path):
+    # 24px files at input_size 16: each image is resized, then patchified
+    reg = default_registry()
+    specs = [reg.lookup(mid) for mid in ("sentinel1", "naip")]
+    stacks = {}
+    for spec in specs:
+        ds = stack_samples(spec.id, gen_pretrain_stream(spec, 11, 32, size=24))
+        save_dataset(tmp_path / f"pretrain_{spec.id}.ofad", ds)
+        stacks[spec.id] = ds.images
+    streams = trainer._load_streams(tiny_config(data_dir=str(tmp_path)), specs)
+    for spec in specs:
+        want = m.patchify(resize_nearest(stacks[spec.id], 16), 4)
+        assert streams[spec.id].shape == (32, 16, 16 * spec.channels)
+        assert streams[spec.id].dtype == np.float32
+        assert streams[spec.id].tobytes() == want.tobytes()
 
 
 def test_pretrain_stops_on_non_finite_loss(tmp_path):
