@@ -76,7 +76,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<I", "tensor name length")
+        at = rd.off
         name = rd.text(name_len, "utf-8", "tensor name")
+        if name in tensors:
+            rd.fail(f"tensor name {name!r} repeated", at)
         (rank,) = rd.unpack("<B", f"{name} rank")
         shape = rd.unpack(f"<{rank}I", f"{name} shape")
         tensors[name] = np.array(rd.array("<f4", shape, f"{name} data"))  # own the memory

@@ -70,6 +70,10 @@ def _cmd_probe(args) -> int:
         raise ValueError(f"{args.data} has no class labels; wrong --task?")
     if task == SEG_TASK and data.masks is None:
         raise ValueError(f"{args.data} has no masks; wrong --task?")
+    n = len(data.images)
+    if n < 2:
+        raise ValueError(f"{args.data}: sample count {n} < 2; a probe needs one sample "
+                         "to fit the head and one to evaluate it")
     if args.classes:
         k = args.classes
     elif task == CLS_TASK:

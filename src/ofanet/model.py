@@ -18,10 +18,13 @@ arrays, and a single image is a batch of 1. Training works on patch rows:
 the fused masked ``ndtensor.mse`` into one training graph, with the patch
 rows as their own reconstruction targets. ``forward_tokens`` and
 ``forward_features`` take [b, h, w, c] images, patchify them, and reuse the
-embed and encode stages off-tape for frozen feature extraction. A block's
-attention is its q/k/v projections (``linear``, ``matmul``), one
-``ndtensor.attention`` node and the output ``linear``; every ``matmul``
-multiplies a stacked input by a weight matrix.
+embed and encode stages off-tape for frozen feature extraction;
+``forward_features`` mean-pools the tokens in numpy. A block's attention is
+its q/k/v projections (``linear``, ``matmul``), one ``ndtensor.attention``
+node and the output ``linear``; every ``matmul`` multiplies a stacked input
+by a weight matrix. Both row gathers hand ``ndtensor.gather_rows_batch`` a
+mask split: ``encode_tokens`` the visible rows, ``decode_tokens`` the
+permutation that puts every row back in place.
 """
 
 from __future__ import annotations
@@ -414,6 +417,7 @@ def forward_tokens(net: OfaNet, images, modality: str) -> Tensor:
 
 
 def forward_features(net: OfaNet, images, modality: str) -> Tensor:
-    """Frozen pooled features [b, d]: token features averaged over positions."""
-    with ndt.no_grad():
-        return ndt.tmean(forward_tokens(net, images, modality), axis=1)
+    """Frozen pooled features [b, d]: token features averaged over positions,
+    in numpy, since nothing here goes on the tape."""
+    tokens = forward_tokens(net, images, modality).data
+    return Tensor(tokens.sum(axis=1) * (1.0 / tokens.shape[1]))

@@ -1,19 +1,19 @@
 """Dense float tensor kernel with reverse-mode automatic differentiation.
 
 Just enough surface for a small Vision Transformer, and no op it does not
-call: ``add``, ``mul`` (also by a python scalar), ``matmul``, ``linear``,
-``attention``, the batched row gather, ``concat``, layer norm, GELU,
-``tsum``/``tmean`` and the masked MSE. ``matmul`` is ``[..., k] @ [k, m]``
-with the leading dims folded into one gemm, and computes no gradient for an
-input that does not require one. ``linear(a, w, b)`` adds the bias into the
-matmul's own fresh array: the two tape nodes and bytes of
-``add(matmul(a, w), b)``, one array fewer. ``attention`` is one tape node for
-head split, scaled scores, softmax, weighted sum and head merge. The row
-gather's backward scatters by plain assignment when each batch row's
-indices are distinct (a mask permutation) and scatter-adds otherwise.
-``mse`` is one tape node for the MIM loss: it reads only the masked rows of
-the prediction and of a constant target, and its backward assigns straight
-into a zeroed full-size gradient.
+call: ``add``, ``matmul``, ``linear``, ``attention``, the row gather of a
+mask split, ``concat``, layer norm, GELU and the masked MSE. ``matmul`` is
+``[..., k] @ [k, m]`` with the leading dims folded into one gemm, and
+computes no gradient for an input that does not require one.
+``linear(a, w, b)`` adds the bias into the matmul's own fresh array: the two
+tape nodes and bytes of ``add(matmul(a, w), b)``, one array fewer.
+``attention`` is one tape node for head split, scaled scores, softmax,
+weighted sum and head merge. ``gather_rows_batch`` and ``mse`` take their
+rows as a mask split (``[b, m]``, m >= 1, in range, no row repeated within a
+sample) and share one check of it. The rows being distinct, the gather's
+backward scatters by plain assignment. ``mse`` reads only the masked rows
+of the prediction and of a constant target, and its backward assigns
+straight into a zeroed full-size gradient.
 
 Ops and their grad_fns never write into their inputs or into a gradient
 they receive (``add`` hands one gradient array to both parents). They may
@@ -54,23 +54,19 @@ def default_dtype() -> np.dtype:
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(name: str | np.dtype) -> None:
+@contextmanager
+def dtype_mode(name: str | np.dtype) -> Iterator[None]:
+    """Temporarily switch the kernel's float width: the gradient oracle's
+    float64 switch, and the only way to change it."""
     global _DEFAULT_DTYPE
     dt = np.dtype(name)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported default dtype {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt
-
-
-@contextmanager
-def dtype_mode(name: str | np.dtype) -> Iterator[None]:
-    """Temporarily switch the kernel's float width (used by gradient checks)."""
-    prev = _DEFAULT_DTYPE
-    set_default_dtype(name)
+    prev, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dt
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _DEFAULT_DTYPE = prev
 
 
 class _GradMode(threading.local):
@@ -182,21 +178,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a = _as_tensor(a)
-    if isinstance(b, (int, float)):
-        s = float(b)
-        data = a.data * s
-        return _result(data, (a,), lambda g: (g * s,))
-    b = _as_tensor(b)
-    data = a.data * b.data
-    ad, bd = a.data, b.data
-    ash, bsh = a.shape, b.shape
-    return _result(
-        data, (a, b), lambda g: (_unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh))
-    )
-
-
 # ---------------------------------------------------------------------------
 # matmul, linear, attention
 
@@ -289,31 +270,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 # movement
 
 
-def gather_rows_batch(a: Tensor, idx) -> Tensor:
-    """Per-sample row gather: a [b, n, d], idx [b, k] -> [b, k, d].
+def _mask_split(rows, b: int, n: int, what: str) -> np.ndarray:
+    """``rows`` as a [b, m] mask split of n rows: m >= 1, each row in range,
+    none repeated within a sample."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[0] != b or rows.shape[1] == 0:
+        raise ValueError(f"{what} must be [{b}, m] with m >= 1, got shape {rows.shape}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise IndexError(f"{what} out of range for {n} rows")
+    ordered = np.sort(rows, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError(f"{what} repeat within a sample; they must be a mask split")
+    return rows
 
-    One index list per batch row. When each row's indices are distinct (the
-    mask permutations of MIM), the backward scatters the gradient back by
-    plain assignment; otherwise it scatter-adds, so a repeated index
-    collects every gradient that reached it.
-    """
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.ndim != 3 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
-        raise ValueError(f"gather_rows_batch expects [b,n,d] with [b,k] indices, got {a.shape} / {idx.shape}")
-    n = a.shape[1]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"gather_rows_batch index out of range for {n} rows")
+
+def gather_rows_batch(a: Tensor, idx) -> Tensor:
+    """Per-sample row gather: a [b, n, d], idx [b, k] -> [b, k, d], where
+    idx is a mask split as ``mse`` takes it (the visible rows of MIM, or the
+    permutation that puts every row back in place). The rows being distinct,
+    the backward scatters the gradient by plain assignment."""
+    if a.ndim != 3:
+        raise ValueError(f"gather_rows_batch expects [b, n, d] rows, got {a.shape}")
     ash = a.shape
+    idx = _mask_split(idx, ash[0], ash[1], "gather_rows_batch rows")
     rows = np.arange(ash[0])[:, None]
 
     def grad_fn(g):
         ga = np.zeros(ash, dtype=g.dtype)
-        ordered = np.sort(idx, axis=1)
-        if not (ordered[:, 1:] == ordered[:, :-1]).any():
-            # same values as adding into zeros, but a -0.0 keeps its sign
-            ga[rows, idx] = g
-        else:
-            np.add.at(ga, (rows, idx), g)
+        ga[rows, idx] = g
         return (ga,)
 
     return _result(a.data[rows, idx], (a,), grad_fn)
@@ -406,25 +390,7 @@ def gelu(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    ash = a.shape
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.full(ash, g, dtype=g.dtype),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, ash).copy(),)
-
-    return _result(data, (a,), grad_fn)
-
-
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+# loss
 
 
 def mse(pred: Tensor, target: np.ndarray, rows) -> Tensor:
@@ -440,21 +406,15 @@ def mse(pred: Tensor, target: np.ndarray, rows) -> Tensor:
     handed to ``pred`` keeps ``pred``'s own dtype. The backward scales the
     forward's difference array in place and assigns it into a zeroed
     gradient: the bytes of ``gather_rows_batch`` followed by an unmasked MSE,
-    without the gathered prediction, the scaled copy or the scatter's sort.
+    without the gathered prediction or the scaled copy. ``rows`` passes the
+    same mask-split check as the gather's index.
     """
     pred = _as_tensor(pred)
     target = np.asarray(target)
-    rows = np.asarray(rows, dtype=np.intp)
     if pred.ndim != 3 or target.shape != pred.shape:
         raise ValueError(f"mse expects [b, n, d] pred and target, got {pred.shape} and {target.shape}")
     b, n, _ = pred.shape
-    if rows.ndim != 2 or rows.shape[0] != b or rows.shape[1] == 0:
-        raise ValueError(f"mse needs [{b}, m] masked rows with m >= 1, got shape {rows.shape}")
-    if rows.min() < 0 or rows.max() >= n:
-        raise IndexError(f"mse masked row out of range for {n} rows")
-    ordered = np.sort(rows, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise ValueError("mse masked rows repeat within a sample; they must be a mask split")
+    rows = _mask_split(rows, b, n, "mse masked rows")
     batch = np.arange(b)[:, None]
     diff = pred.data[batch, rows]
     # the target's rows in pred's dtype first, as a Tensor of them would be
@@ -514,8 +474,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    contrib = np.broadcast_to(g, t.shape) if g.shape != t.shape else g
+    # every grad_fn returns its parent's shape
     if t.grad is None:
-        t.grad = np.array(contrib, dtype=t.data.dtype, copy=True)
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
-        t.grad = t.grad + contrib
+        t.grad = t.grad + g

@@ -24,6 +24,7 @@ from ofanet.runconfig import CLS_TASK, SEG_TASK, ProbeConfig, TrainConfig
 from ofanet.seeds import derive_seed
 from ofanet.trainer import pretrain
 
+from composed import dot
 from gradcheck import finite_diff, rel_err
 from test_model import run_full_net_gradcheck, tiny_dims
 
@@ -116,8 +117,9 @@ def _op_cases(rng):
     w34 = rng.normal(size=(3, 4))
     b3 = rng.normal(size=3)
     g6 = rng.normal(size=6)
-    idx = np.array([0, 2, 2, 4])
-    bidx = np.array([[0, 2], [1, 1]])
+    idx = np.array([4, 0, 2, 1])
+    bidx = np.array([[0, 2], [3, 1]])
+    rows_proj = np.arange(12.0).reshape(1, 4, 3) - 5.0  # a misrouted row's gradient shows
 
     def fd_target(build):
         def f(x):
@@ -130,38 +132,36 @@ def _op_cases(rng):
     def case(name, x0, build):
         cases.append((name, np.asarray(x0, dtype=np.float64), build))
 
-    case("matmul", w53, lambda x: ndt.tsum(ndt.matmul(x, Tensor(w34))))
+    case("matmul", w53, lambda x: dot(ndt.matmul(x, Tensor(w34)), 1.0))
     case("matmul_stacked", rng.normal(size=(2, 4, 3)),
-         lambda x: ndt.tsum(ndt.mul(ndt.matmul(x, Tensor(w34[:3, :3])), 0.5)))
-    case("add_broadcast", b3, lambda x: ndt.tsum(ndt.mul(ndt.add(Tensor(w53), x), Tensor(w53 + 2.0))))
-    case("mul", w53, lambda x: ndt.tsum(ndt.mul(x, Tensor(w53 + 0.25))))
+         lambda x: dot(ndt.matmul(x, Tensor(w34[:3, :3])), 0.5))
+    case("add_broadcast", b3, lambda x: dot(ndt.add(Tensor(w53), x), w53 + 2.0))
     b4 = rng.normal(size=4)
-    c54 = Tensor(w53 @ w34)
-    case("linear_input", w53, lambda x: ndt.tsum(ndt.mul(ndt.linear(x, Tensor(w34), Tensor(b4)), c54)))
-    case("linear_weight", w34, lambda x: ndt.tsum(ndt.mul(ndt.linear(Tensor(w53), x, Tensor(b4)), c54)))
-    case("linear_bias", b4, lambda x: ndt.tsum(ndt.mul(ndt.linear(Tensor(w53), Tensor(w34), x), c54)))
-    case("gather_rows", w53[None], lambda x: ndt.tsum(ndt.gather_rows_batch(x, idx[None])))
+    c54 = w53 @ w34
+    case("linear_input", w53, lambda x: dot(ndt.linear(x, Tensor(w34), Tensor(b4)), c54))
+    case("linear_weight", w34, lambda x: dot(ndt.linear(Tensor(w53), x, Tensor(b4)), c54))
+    case("linear_bias", b4, lambda x: dot(ndt.linear(Tensor(w53), Tensor(w34), x), c54))
+    case("gather_rows", w53[None], lambda x: dot(ndt.gather_rows_batch(x, idx[None]), rows_proj))
     case("gather_rows_batch", rng.normal(size=(2, 4, 3)),
-         lambda x: ndt.tsum(ndt.gather_rows_batch(x, bidx)))
-    case("concat", w53, lambda x: ndt.tsum(ndt.mul(ndt.concat([x, Tensor(w53 * 2)]), 0.3)))
+         lambda x: dot(ndt.gather_rows_batch(x, bidx), rows_proj.reshape(2, 2, 3)))
+    case("concat", w53, lambda x: dot(ndt.concat([x, Tensor(w53 * 2)]), 0.3))
     # a batch of 2, 3 tokens of width 4, 2 heads; the other two inputs fixed
     qkv = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
-    proj = Tensor(rng.normal(size=(2, 3, 4)))
+    proj = rng.normal(size=(2, 3, 4))
     for i, role in enumerate("qkv"):
         def attn(x, i=i):
             args = [Tensor(a) for a in qkv]
             args[i] = x
-            return ndt.tsum(ndt.mul(ndt.attention(*args, heads=2), proj))
+            return dot(ndt.attention(*args, heads=2), proj)
         case(f"attention_{role}", qkv[i], attn)
-    case("layernorm_x", g6, lambda x: ndt.tsum(ndt.mul(
-        ndt.layernorm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))), Tensor(np.arange(6.0) - 2))))
-    case("layernorm_gamma", np.ones(6) * 0.7, lambda x: ndt.tsum(ndt.mul(
-        ndt.layernorm(Tensor(g6), x, Tensor(np.zeros(6))), Tensor(np.arange(6.0) - 2))))
-    case("layernorm_beta", np.zeros(6), lambda x: ndt.tsum(ndt.mul(
-        ndt.layernorm(Tensor(g6), Tensor(np.ones(6)), x), Tensor(np.arange(6.0) - 2))))
-    case("gelu", g6 * 1.5, lambda x: ndt.tsum(ndt.gelu(x)))
-    case("sum_axis", w53, lambda x: ndt.tsum(ndt.mul(ndt.tsum(x, axis=0), Tensor(b3))))
-    case("mean", w53, lambda x: ndt.tmean(ndt.mul(x, x)))
+    ramp = np.arange(6.0) - 2
+    case("layernorm_x", g6, lambda x: dot(
+        ndt.layernorm(x, Tensor(np.ones(6)), Tensor(np.zeros(6))), ramp))
+    case("layernorm_gamma", np.ones(6) * 0.7, lambda x: dot(
+        ndt.layernorm(Tensor(g6), x, Tensor(np.zeros(6))), ramp))
+    case("layernorm_beta", np.zeros(6), lambda x: dot(
+        ndt.layernorm(Tensor(g6), Tensor(np.ones(6)), x), ramp))
+    case("gelu", g6 * 1.5, lambda x: dot(ndt.gelu(x), 1.0))
     case("mse", b3[None, None], lambda x: ndt.mse(x, b3[None, None] * 0.1, [[0]]))
     t243 = rng.normal(size=(2, 4, 3))
     case("mse_masked", rng.normal(size=(2, 4, 3)), lambda x: ndt.mse(x, t243, [[3, 0], [1, 2]]))

@@ -183,6 +183,28 @@ def test_probe_task_data_mismatch(tmp_path, tiny_config_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["cls", "seg"])
+@pytest.mark.parametrize("count", [0, 1])
+@pytest.mark.parametrize("flags", [[], ["--classes", "3"]], ids=["inferred", "given"])
+def test_probe_rejects_a_set_too_small_to_split(tmp_path, capsys, kind, count, flags):
+    # one sample cannot both fit a head and evaluate it, whether or not the
+    # class count has to be read off the labels
+    data = tmp_path / f"{kind}.ofad"
+    assert main(["gen-data", "--modality", "naip", "--kind", kind, "--count", "3", "--seed", "1",
+                 "--classes", "3", "--size", "16", "--out", str(data)]) == 0
+    full = synthdata.load_dataset(data)
+    synthdata.save_dataset(data, synthdata.LoadedDataset(
+        full.modality_id, full.images[:count],
+        None if full.labels is None else full.labels[:count],
+        None if full.masks is None else full.masks[:count]))
+    capsys.readouterr()
+    rc = main(["probe", "--task", kind, "--checkpoint", "random-init", "--data", str(data)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: sample count {count} < 2; a probe needs one sample " \
+                  "to fit the head and one to evaluate it\n"
+
+
 @pytest.mark.parametrize(
     "kind, flags, expected",
     [

@@ -320,7 +320,7 @@ def test_mim_forward_batch_matches_per_sample_loop():
     for i in range(4):
         loss = m.mim_forward_batch(net, patches[i : i + 1], "sentinel1", 0.75, keys[i : i + 1])
         total = loss if total is None else ndt.add(total, loss)
-    total = ndt.mul(total, 1.0 / 4)
+    total = composed.dot(total, 1.0 / 4)
     ndt.backward(total)
 
     np.testing.assert_allclose(batched.item(), total.item(), rtol=1e-5)
@@ -373,14 +373,16 @@ def test_patch_row_path_matches_image_path_bytes(modality):
 def test_gather_rows_batch_matches_loop():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(3, 5, 2)).astype(np.float32), requires_grad=True)
-    idx = np.array([[0, 4], [1, 1], [3, 2]])
+    idx = np.array([[0, 4], [1, 3], [3, 2]])
     out = ndt.gather_rows_batch(x, idx)
     for b in range(3):
         np.testing.assert_array_equal(out.data[b], x.data[b][idx[b]])
-    ndt.backward(ndt.tsum(out))
+    c = rng.normal(size=(3, 2, 2)).astype(np.float32)
+    ndt.backward(composed.dot(out, c))
     expected = np.zeros((3, 5, 2), dtype=np.float32)
     for b in range(3):
-        np.add.at(expected[b], idx[b], 1.0)
+        for j in range(2):
+            expected[b, idx[b, j]] += c[b, j]
     np.testing.assert_array_equal(x.grad, expected)
 
 
@@ -657,6 +659,24 @@ def test_checkpoint_shape_beyond_numpy_names_path(tmp_path, extents):
     data_at = 4 + 2 + 4 + 4 + 4 + len(body)
     with pytest.raises(ValueError, match=re.escape(f"{path}: x data: ") + rf".* at byte offset {data_at}$"):
         ckpt.read_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_tensor_name(tmp_path):
+    # a second copy of a tensor must not silently replace the first on load
+    from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
+
+    cfg = RunConfig(train=TrainConfig(input_size=8, embed_dim=8, depth=1, heads=2,
+                                      decoder_embed_dim=4, decoder_depth=1, modalities=("naip",)))
+    net = cfg.build_net()
+    weight = net.params["embedder.naip.weight"].data
+    tensors = [(n, t.data) for n, t in m.named_parameters(net)] + [("embedder.naip.weight", weight + 1.0)]
+    path = tmp_path / "twice.ofac"
+    ckpt.write_checkpoint(path, serialize_config(cfg), tensors)
+    at = path.read_bytes().rfind(b"embedder.naip.weight")
+    message = f"{path}: tensor name 'embedder.naip.weight' repeated at byte offset {at}"
+    for read in (ckpt.read_checkpoint, ckpt.load_net):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            read(path)
 
 
 def test_load_net_rejects_parent_format_checkpoint_with_path_and_line(tmp_path):

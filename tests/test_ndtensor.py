@@ -1,6 +1,9 @@
+import ast
+import inspect
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,27 @@ from ofanet.ndtensor import Tensor
 
 import composed
 from gradcheck import finite_diff, rel_err
+
+
+def test_every_public_function_has_a_caller_outside_the_kernel():
+    # the kernel holds the ops the program calls and nothing more: each public
+    # function is named by src/ofanet outside ndtensor or by perfbench/. The
+    # one exception is dtype_mode, the gradient oracle's float64 switch
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "ofanet").glob("*.py")) if p.name != "ndtensor.py"]
+    files += sorted((root / "perfbench").rglob("*.py"))
+    named = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("ndt", "ndtensor"):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ndtensor"):
+                named.update(alias.name for alias in node.names)
+    public = {name for name, fn in inspect.getmembers(ndt, inspect.isfunction)
+              if fn.__module__ == ndt.__name__ and not name.startswith("_")}
+    assert "dtype_mode" in public
+    assert sorted(public - named - {"dtype_mode"}) == []
 
 
 def test_matmul_identity():
@@ -47,11 +71,11 @@ def test_matmul_grad_matches_finite_difference():
     with ndt.dtype_mode("float64"):
         a = Tensor(a0, requires_grad=True)
         c = ndt.matmul(a, Tensor(b0))
-        ndt.backward(ndt.tsum(c))
+        ndt.backward(composed.dot(c, 1.0))
 
         def f(x):
             with ndt.no_grad():
-                return ndt.tsum(ndt.matmul(Tensor(x), Tensor(b0))).item()
+                return composed.dot(ndt.matmul(Tensor(x), Tensor(b0)), 1.0).item()
 
         fd = finite_diff(f, a0, eps=1e-3)
     assert rel_err(a.grad, fd) < 1e-3
@@ -64,15 +88,15 @@ def test_stacked_matmul_grad():
     with ndt.dtype_mode("float64"):
         a = Tensor(a0, requires_grad=True)
         b = Tensor(b0, requires_grad=True)
-        ndt.backward(ndt.tsum(ndt.matmul(a, b)))
+        ndt.backward(composed.dot(ndt.matmul(a, b), 1.0))
 
         def fa(x):
             with ndt.no_grad():
-                return ndt.tsum(ndt.matmul(Tensor(x), Tensor(b0))).item()
+                return composed.dot(ndt.matmul(Tensor(x), Tensor(b0)), 1.0).item()
 
         def fb(x):
             with ndt.no_grad():
-                return ndt.tsum(ndt.matmul(Tensor(a0), Tensor(x))).item()
+                return composed.dot(ndt.matmul(Tensor(a0), Tensor(x)), 1.0).item()
 
         assert rel_err(a.grad, finite_diff(fa, a0, 1e-4)) < 1e-4
         assert rel_err(b.grad, finite_diff(fb, b0, 1e-4)) < 1e-4
@@ -145,12 +169,11 @@ def test_softmax_grad_matches_finite_difference():
     eye = np.eye(4, 16)
     with ndt.dtype_mode("float64"):
         q = Tensor(q0, requires_grad=True)
-        ndt.backward(ndt.tsum(ndt.mul(ndt.attention(q, Tensor(eye), Tensor(eye), heads=1), Tensor(w))))
+        ndt.backward(composed.dot(ndt.attention(q, Tensor(eye), Tensor(eye), heads=1), w))
 
         def f(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.mul(ndt.attention(Tensor(v), Tensor(eye), Tensor(eye), heads=1),
-                                        Tensor(w))).item()
+                return composed.dot(ndt.attention(Tensor(v), Tensor(eye), Tensor(eye), heads=1), w).item()
 
         fd = finite_diff(f, q0, eps=1e-3)
     assert rel_err(q.grad, fd) < 1e-3
@@ -209,19 +232,19 @@ def test_layernorm_grads_match_finite_difference():
         x = Tensor(x0, requires_grad=True)
         gam = Tensor(g0, requires_grad=True)
         bet = Tensor(b0, requires_grad=True)
-        ndt.backward(ndt.tsum(ndt.mul(ndt.layernorm(x, gam, bet), Tensor(w))))
+        ndt.backward(composed.dot(ndt.layernorm(x, gam, bet), w))
 
         def fx(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.mul(ndt.layernorm(Tensor(v), Tensor(g0), Tensor(b0)), Tensor(w))).item()
+                return composed.dot(ndt.layernorm(Tensor(v), Tensor(g0), Tensor(b0)), w).item()
 
         def fg(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.mul(ndt.layernorm(Tensor(x0), Tensor(v), Tensor(b0)), Tensor(w))).item()
+                return composed.dot(ndt.layernorm(Tensor(x0), Tensor(v), Tensor(b0)), w).item()
 
         def fb(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.mul(ndt.layernorm(Tensor(x0), Tensor(g0), Tensor(v)), Tensor(w))).item()
+                return composed.dot(ndt.layernorm(Tensor(x0), Tensor(g0), Tensor(v)), w).item()
 
         assert rel_err(x.grad, finite_diff(fx, x0, 1e-4)) < 1e-4
         assert rel_err(gam.grad, finite_diff(fg, g0, 1e-4)) < 1e-4
@@ -233,11 +256,11 @@ def test_gelu_grad_matches_finite_difference():
     x0 = rng.normal(size=9) * 2.0
     with ndt.dtype_mode("float64"):
         x = Tensor(x0, requires_grad=True)
-        ndt.backward(ndt.tsum(ndt.gelu(x)))
+        ndt.backward(composed.dot(ndt.gelu(x), 1.0))
 
         def f(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.gelu(Tensor(v))).item()
+                return composed.dot(ndt.gelu(Tensor(v)), 1.0).item()
 
         fd = finite_diff(f, x0, eps=1e-4)
     assert rel_err(x.grad, fd) < 1e-4
@@ -247,18 +270,25 @@ def test_gelu_zero_fixed_point():
     assert ndt.gelu(Tensor([0.0])).data[0] == 0.0
 
 
-def test_gather_rows_forward_and_scatter_add_backward():
-    x = Tensor(np.arange(12.0).reshape(1, 4, 3), requires_grad=True)
-    out = ndt.gather_rows_batch(x, [[0, 0, 2]])
-    np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
-    ndt.backward(ndt.tsum(out))
-    np.testing.assert_array_equal(x.grad, [[[2.0] * 3, [0.0] * 3, [1.0] * 3, [0.0] * 3]])
-
-
 def test_gather_rows_out_of_range():
     x = Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(IndexError):
         ndt.gather_rows_batch(x, [[3]])
+
+
+def test_gather_rows_batch_rejects_rows_that_are_not_a_mask_split():
+    x = Tensor(np.zeros((2, 4, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match="repeat"):
+        ndt.gather_rows_batch(x, [[0, 1], [2, 2]])
+    with pytest.raises(IndexError, match="4 rows"):
+        ndt.gather_rows_batch(x, [[0, -1], [1, 2]])
+    with pytest.raises(ValueError, match=r"\[2, m\]"):
+        ndt.gather_rows_batch(x, [[0, 1]])
+    with pytest.raises(ValueError, match=r"\[2, m\]"):
+        ndt.gather_rows_batch(x, np.zeros((2, 0), dtype=np.intp))
+    with pytest.raises(ValueError, match=r"\[b, n, d\]"):
+        ndt.gather_rows_batch(Tensor(np.zeros((4, 3))), [[0, 1]])
+    assert not ndt.active_tape()
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,8 +299,8 @@ def test_gather_rows_out_of_range():
     data=st.data(),
 )
 def test_gather_rows_batch_distinct_rows_match_reference(b, n, d, data):
-    # distinct indices per row (a permutation prefix, as MIM masks are) take
-    # the scatter-by-assignment backward; it must equal the scatter-add
+    # distinct indices per row (a permutation prefix, as MIM masks are); the
+    # backward must route each gathered row's gradient to its source row
     k = data.draw(st.integers(1, n), label="k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     x0 = rng.normal(size=(b, n, d)).astype(np.float32)
@@ -279,9 +309,11 @@ def test_gather_rows_batch_distinct_rows_match_reference(b, n, d, data):
     x = Tensor(x0, requires_grad=True)
     out = ndt.gather_rows_batch(x, idx)
     np.testing.assert_array_equal(out.data, np.take_along_axis(x0, idx[:, :, None], axis=1))
-    ndt.backward(ndt.tsum(ndt.mul(out, Tensor(g0))))
+    ndt.backward(composed.dot(out, g0))
     expected = np.zeros_like(x0)
-    np.add.at(expected, (np.arange(b)[:, None], idx), g0)
+    for i in range(b):
+        for j in range(k):
+            expected[i, idx[i, j]] += g0[i, j]
     np.testing.assert_array_equal(x.grad, expected)
 
 
@@ -295,7 +327,7 @@ def test_stacked_matmul_computes_no_gradient_for_constant_input():
     out = ndt.matmul(a, w)
     ga, _ = ndt.active_tape()[-1].grad_fn(g0)
     assert ga is None
-    ndt.backward(ndt.tsum(ndt.mul(out, Tensor(g0))))
+    ndt.backward(composed.dot(out, g0))
     assert a.grad is None
     np.testing.assert_array_equal(w.grad, a0.reshape(-1, 3).T @ g0.reshape(-1, 4))
 
@@ -305,7 +337,7 @@ def test_concat_backward_splits():
     b = Tensor(np.ones((3, 2)), requires_grad=True)
     out = ndt.concat([a, b])
     assert out.shape == (5, 2)
-    ndt.backward(ndt.tsum(ndt.mul(out, 3.0)))
+    ndt.backward(composed.dot(out, 3.0))
     np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
     np.testing.assert_array_equal(b.grad, np.full((3, 2), 3.0))
 
@@ -316,30 +348,31 @@ def test_broadcast_bias_add_grad():
     b0 = rng.normal(size=3)
     with ndt.dtype_mode("float64"):
         b = Tensor(b0, requires_grad=True)
-        ndt.backward(ndt.tsum(ndt.mul(ndt.add(Tensor(x0), b), Tensor(x0 + 1.0))))
+        ndt.backward(composed.dot(ndt.add(Tensor(x0), b), x0 + 1.0))
 
         def f(v):
             with ndt.no_grad():
-                return ndt.tsum(ndt.mul(ndt.add(Tensor(x0), Tensor(v)), Tensor(x0 + 1.0))).item()
+                return composed.dot(ndt.add(Tensor(x0), Tensor(v)), x0 + 1.0).item()
 
         assert rel_err(b.grad, finite_diff(f, b0, 1e-4)) < 1e-4
 
 
 def test_backward_square_sum():
-    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    ndt.backward(ndt.tsum(ndt.mul(x, x)))
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+    # the mean of squares over every row of [1, 4, 1]: gradient 2x / 4
+    x = Tensor([[[1.0], [2.0], [3.0], [4.0]]], requires_grad=True)
+    ndt.backward(ndt.mse(x, np.zeros((1, 4, 1)), [[0, 1, 2, 3]]))
+    np.testing.assert_array_equal(x.grad, [[[0.5], [1.0], [1.5], [2.0]]])
 
 
 def test_backward_fanout_accumulates():
     x = Tensor([1.0, 1.0], requires_grad=True)
-    ndt.backward(ndt.tsum(ndt.add(x, x)))
+    ndt.backward(composed.dot(ndt.add(x, x), 1.0))
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 def test_backward_seeds_loss_grad_with_one():
     x = Tensor([2.0], requires_grad=True)
-    loss = ndt.tsum(x)
+    loss = composed.dot(x, 1.0)
     ndt.backward(loss)
     assert x.grad == [1.0]
 
@@ -347,12 +380,14 @@ def test_backward_seeds_loss_grad_with_one():
 def test_backward_grads_leaves_only():
     rng = np.random.default_rng(12)
     x0, w0, c0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+    proj = np.linspace(-1.0, 1.0, 6).reshape(3, 2)
     with ndt.dtype_mode("float64"):
         x, w, c = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True), Tensor(c0)
 
         def f(xv, wv, cv):
+            # x and w each feed two matmuls; the constant c enters the graph
             h = ndt.gelu(ndt.matmul(xv, wv))
-            return ndt.tmean(ndt.mul(ndt.add(h, ndt.tsum(xv, axis=1, keepdims=True)), cv))
+            return composed.dot(ndt.add(ndt.add(h, ndt.matmul(xv, wv)), cv), proj)
 
         loss = f(x, w, c)
         intermediates = [node.out for node in ndt.active_tape()]
@@ -390,7 +425,7 @@ def test_backward_rejects_off_tape_tensor():
 
 def test_tape_cleared_after_backward_and_double_backward_fails():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = ndt.tsum(x)
+    loss = composed.dot(x, 1.0)
     ndt.backward(loss)
     assert len(ndt.active_tape()) == 0
     with pytest.raises(ValueError):
@@ -400,7 +435,7 @@ def test_tape_cleared_after_backward_and_double_backward_fails():
 def test_no_grad_suppresses_recording():
     x = Tensor([1.0], requires_grad=True)
     with ndt.no_grad():
-        y = ndt.mul(x, x)
+        y = ndt.add(x, x)
     assert not y.requires_grad
     assert len(ndt.active_tape()) == 0
 
@@ -412,7 +447,7 @@ def test_no_grad_is_per_thread():
 
     def work(_):
         with ndt.no_grad():
-            return all(not ndt.mul(x, x).requires_grad for _ in range(50))
+            return all(not ndt.add(x, x).requires_grad for _ in range(50))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -422,7 +457,7 @@ def test_no_grad_is_per_thread():
     finally:
         sys.setswitchinterval(old)
     assert all(inside_off)
-    assert ndt.mul(x, x).requires_grad
+    assert ndt.add(x, x).requires_grad
     ndt.active_tape().clear()
 
 
@@ -433,8 +468,8 @@ def test_ops_do_not_mutate_inputs():
     ndt.attention(x, x, x, heads=1)
     ndt.gelu(x)
     ndt.layernorm(x, g, b)
-    ndt.mul(x, 2.0)
-    ndt.tsum(x)
+    ndt.add(x, x)
+    ndt.concat([x, x])
     np.testing.assert_array_equal(x.data, snap)
     ndt.active_tape().clear()
 
@@ -453,7 +488,7 @@ def test_forward_ops_finite_on_finite_inputs(vals):
     x = Tensor(np.array(vals, dtype=np.float32))
     g, b = _unit_affine(len(vals))
     assert np.all(np.isfinite(_softmax_rows(x.data)))
-    for out in (ndt.gelu(x), ndt.layernorm(x, g, b), ndt.tmean(x)):
+    for out in (ndt.gelu(x), ndt.layernorm(x, g, b)):
         assert np.all(np.isfinite(out.data))
 
 
@@ -543,10 +578,7 @@ def _grad_fn_cases(rng):
         s = "x".join(map(str, shape)) or "0d"
         case(f"add_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.add(a, b))
         case(f"add_fanout_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.add(a, a))
-        case(f"mul_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.mul(a, b))
-        case(f"mul_scalar_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.mul(a, 0.5))
         case(f"gelu_{s}", lambda shape=shape: [x(*shape)], ndt.gelu)
-        case(f"tsum_{s}", lambda shape=shape: [x(*shape)], ndt.tsum)
         # the masked MSE, whose backward scales its forward's difference in
         # place, over the shape's items as [b, n, d] (b only from 3 axes up),
         # every other row masked from the last
@@ -561,8 +593,6 @@ def _grad_fn_cases(rng):
                  ndt.layernorm)
             case(f"concat_{s}", lambda shape=shape: [x(*shape), x(*shape)],
                  lambda a, b: ndt.concat([a, b], axis=0))
-            case(f"tsum_axis_keepdims_{s}", lambda shape=shape: [x(*shape)],
-                 lambda a: ndt.tsum(a, axis=0, keepdims=True))
             case(f"add_broadcast_{s}", lambda shape=shape: [x(*shape), x(shape[-1])],
                  lambda a, b: ndt.add(a, b))
     case("matmul_2d", lambda: [x(3, 4), x(4, 5)], ndt.matmul)
@@ -578,8 +608,6 @@ def _grad_fn_cases(rng):
          lambda q, k, v: ndt.attention(q, k, v, heads=1))
     case("gather_rows_batch_distinct", lambda: [x(2, 5, 3)],
          lambda a: ndt.gather_rows_batch(a, [[4, 0, 2], [1, 3, 0]]))
-    case("gather_rows_batch_repeated", lambda: [x(2, 5, 3)],
-         lambda a: ndt.gather_rows_batch(a, [[4, 4, 2], [1, 1, 1]]))
     return cases
 
 
@@ -759,7 +787,7 @@ def test_linear_matches_add_of_matmul_bytes(dtype):
                       lambda x, w, b: ndt.add(ndt.matmul(x, w), b)):
             x, w, b = (Tensor(v, requires_grad=True) for v in (x0, w0, b0))
             y = build(x, w, b)
-            ndt.backward(ndt.tsum(ndt.mul(y, Tensor(c0))))
+            ndt.backward(composed.dot(y, c0))
             grads.append([y.data, x.grad, w.grad, b.grad])
         for a, b in zip(*grads):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -771,14 +799,14 @@ def test_linear_grad_matches_finite_difference():
     c0 = rng.normal(size=(3, 2))
     with ndt.dtype_mode("float64"):
         ts = [Tensor(v, requires_grad=True) for v in vals]
-        ndt.backward(ndt.tsum(ndt.mul(ndt.linear(*ts), Tensor(c0))))
+        ndt.backward(composed.dot(ndt.linear(*ts), c0))
         for i, t in enumerate(ts):
 
             def f(v, i=i):
                 args = [Tensor(a) for a in vals]
                 args[i] = Tensor(v)
                 with ndt.no_grad():
-                    return ndt.tsum(ndt.mul(ndt.linear(*args), Tensor(c0))).item()
+                    return composed.dot(ndt.linear(*args), c0).item()
 
             assert rel_err(t.grad, finite_diff(f, vals[i], 1e-5)) < 1e-7
 
@@ -840,7 +868,7 @@ def test_mse_matches_composed_chain_bytes(dtype, width):
         after[batch, rows] = diff
         after *= scale
         added = np.zeros_like(pred0)
-        np.add.at(added, (batch, rows), diff * scale)
+        added[batch, rows] += diff * scale
         assert after.tobytes() != want.tobytes() and added.tobytes() != want.tobytes()
 
         # and through backward, from the loss's own unit gradient
