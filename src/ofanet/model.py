@@ -12,19 +12,19 @@ are fixed and shared.
 
 There is one forward path, and it is batched: every stage takes [b, ...]
 arrays, and a single image is a batch of 1. Training works on patch rows:
-``mim_forward_batch`` takes a mini-batch already in ``patchify`` layout
-(the trainer patchifies each stream once, at load) and composes
-``embed_patches``, ``draw_masks``, ``encode_tokens``, ``decode_tokens`` and
-the fused masked ``ndtensor.mse`` into one training graph, with the patch
-rows as their own reconstruction targets. ``forward_tokens`` and
+``mim_forward_batch`` takes a stream already in ``patchify`` layout (the
+trainer patchifies each stream once, at load) and a mini-batch's indices
+in it. It draws the masks first, embeds only the visible rows at their
+positions and reconstructs only the masked ones, which ``ndtensor.mse``
+compares with the same rows of the stream. ``forward_tokens`` and
 ``forward_features`` take [b, h, w, c] images, patchify them, and reuse the
-embed and encode stages off-tape for frozen feature extraction;
-``forward_features`` mean-pools the tokens in numpy. A block's attention is
-its q/k/v projections (``linear``, ``matmul``), one ``ndtensor.attention``
-node and the output ``linear``; every ``matmul`` multiplies a stacked input
-by a weight matrix. Both row gathers hand ``ndtensor.gather_rows_batch`` a
-mask split: ``encode_tokens`` the visible rows, ``decode_tokens`` the
-permutation that puts every row back in place.
+embed (at every position) and encode stages off-tape for frozen feature
+extraction; ``forward_features`` mean-pools the tokens in numpy. A block's
+attention is its q/k/v projections (``linear``, ``matmul``), one
+``ndtensor.attention`` node and the output ``linear``; every ``matmul``
+multiplies a stacked input by a weight matrix. The decoder hands
+``ndtensor.gather_rows_batch`` two mask splits: the permutation that puts
+every row back in place, then the masked rows for the head.
 """
 
 from __future__ import annotations
@@ -329,20 +329,22 @@ def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
     return x
 
 
-def embed_patches(net: OfaNet, patches: np.ndarray, modality: str) -> Tensor:
-    """Project [b, n, p*p*c] patch rows with the modality's embedder and add
-    positions: tokens [b, n, d]."""
+def embed_patches(net: OfaNet, patches: np.ndarray, positions: np.ndarray, modality: str) -> Tensor:
+    """Project [b, k, p*p*c] patch rows with the modality's embedder and add
+    the positional rows of their token positions, [b, k] or [k] shared by
+    every sample: tokens [b, k, d]."""
     if modality not in net.channels:
         raise KeyError(f"no embedder for modality {modality!r}; have {sorted(net.channels)}")
     channels = net.channels[modality]
-    shape = (net.dims.tokens, net.dims.patch_size**2 * channels)
-    if patches.ndim != 3 or patches.shape[1:] != shape:
+    width = net.dims.patch_size**2 * channels
+    rows = patches.shape[:2]
+    if patches.ndim != 3 or patches.shape[2] != width or np.shape(positions) not in (rows, rows[1:]):
         raise ValueError(
-            f"{modality} has {channels} bands: expects [b, {shape[0]}, {shape[1]}] patch rows, "
-            f"got shape {patches.shape}"
+            f"{modality} has {channels} bands: expects [b, k, {width}] patch rows and their "
+            f"[b, k] or [k] token positions, got shapes {patches.shape} and {np.shape(positions)}"
         )
     weight, bias = _section(net, f"embedder.{modality}")
-    return ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos)
+    return ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos.data[positions])
 
 
 def draw_masks(n: int, ratio: float, rng_keys) -> tuple[np.ndarray, np.ndarray]:
@@ -357,19 +359,18 @@ def draw_masks(n: int, ratio: float, rng_keys) -> tuple[np.ndarray, np.ndarray]:
     return perms[:, :m], perms[:, m:]
 
 
-def encode_tokens(net: OfaNet, tokens: Tensor, visible: np.ndarray | None = None) -> Tensor:
-    """Shared backbone over the visible rows of [b, n, d] tokens (all rows
-    when visible is None): [b, k, d]."""
-    x = tokens if visible is None else ndt.gather_rows_batch(tokens, visible)
+def encode_tokens(net: OfaNet, tokens: Tensor) -> Tensor:
+    """Shared backbone over [b, k, d] tokens: latents [b, k, d]."""
     *blocks, norm_g, norm_b = _section(net, "backbone")
-    return ndt.layernorm(_stack_forward(x, blocks, net.dims.heads), norm_g, norm_b)
+    return ndt.layernorm(_stack_forward(tokens, blocks, net.dims.heads), norm_g, norm_b)
 
 
 def decode_tokens(
     net: OfaNet, latent: Tensor, masked: np.ndarray, visible: np.ndarray, modality: str
 ) -> Tensor:
-    """Full-length reconstruction [b, n, p*p*c] from visible latents [b, k, d]:
-    mask tokens fill the masked rows, then every row is put back in place."""
+    """Reconstruction [b, m, p*p*c] of the masked rows from visible latents
+    [b, k, d]: mask tokens fill the masked rows, every row is put back in
+    place for the decoder blocks, and the head reads the masked rows alone."""
     decoder = _section(net, f"decoder.{modality}")
     if not decoder:
         raise KeyError(f"no decoder for modality {modality!r}")
@@ -381,25 +382,29 @@ def decode_tokens(
     tile = ndt.add(Tensor(np.zeros((b, m, dd))), mask_token)
     full = ndt.gather_rows_batch(ndt.concat([lat, tile], axis=1), restore)
     x = _stack_forward(ndt.add(full, net.decoder_pos), blocks, net.dims.heads)
-    x = ndt.layernorm(x, norm_g, norm_b)
+    x = ndt.layernorm(ndt.gather_rows_batch(x, masked), norm_g, norm_b)
     return ndt.linear(x, head_w, head_b)
 
 
-def mim_forward_batch(net: OfaNet, patches: np.ndarray, modality: str, ratio: float, rng_keys) -> Tensor:
+def mim_forward_batch(net: OfaNet, stream: np.ndarray, modality: str, batch, ratio: float, rng_keys) -> Tensor:
     """Mean masked-reconstruction loss of a mini-batch as one graph.
 
-    patches [b, n, p*p*c] are the images' patch rows (``patchify``), which
-    are also the reconstruction targets; rng_keys gives one mask key per
-    sample, so sample i draws the same split in any batch. A single image is
-    a batch of 1.
+    stream [N, n, p*p*c] holds images as patch rows (``patchify``), which
+    are also the reconstruction targets, and batch names the mini-batch's
+    images in it. rng_keys gives one mask key per sample, so sample i draws
+    the same split in any batch. Only the visible rows are embedded and
+    only the masked rows reconstructed. A single image is a batch of 1.
     """
-    if len(rng_keys) != len(patches):
-        raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {len(patches)}")
-    tokens = embed_patches(net, patches, modality)
-    masked, visible = draw_masks(net.dims.tokens, ratio, rng_keys)
-    latent = encode_tokens(net, tokens, visible)
-    pred = decode_tokens(net, latent, masked, visible, modality)
-    return ndt.mse(pred, patches, masked)
+    n = net.dims.tokens
+    if stream.ndim != 3 or stream.shape[1] != n:
+        raise ValueError(f"{modality}: expects a [N, {n}, p*p*c] stream of patch rows, got {stream.shape}")
+    if len(rng_keys) != len(batch):
+        raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {len(batch)}")
+    masked, visible = draw_masks(n, ratio, rng_keys)
+    images = np.asarray(batch, dtype=np.intp)[:, None]
+    tokens = embed_patches(net, stream[images, visible], visible, modality)
+    pred = decode_tokens(net, encode_tokens(net, tokens), masked, visible, modality)
+    return ndt.mse(pred, stream[images, masked])
 
 
 def forward_tokens(net: OfaNet, images, modality: str) -> Tensor:
@@ -412,8 +417,9 @@ def forward_tokens(net: OfaNet, images, modality: str) -> Tensor:
             f"{modality} expects [b, {size}, {size}, c] images, resized to {size}px first; "
             f"got shape {arr.shape}"
         )
+    patches = patchify(arr, net.dims.patch_size)
     with ndt.no_grad():
-        return encode_tokens(net, embed_patches(net, patchify(arr, net.dims.patch_size), modality))
+        return encode_tokens(net, embed_patches(net, patches, np.arange(net.dims.tokens), modality))
 
 
 def forward_features(net: OfaNet, images, modality: str) -> Tensor:

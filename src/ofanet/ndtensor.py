@@ -2,18 +2,17 @@
 
 Just enough surface for a small Vision Transformer, and no op it does not
 call: ``add``, ``matmul``, ``linear``, ``attention``, the row gather of a
-mask split, ``concat``, layer norm, GELU and the masked MSE. ``matmul`` is
+mask split, ``concat``, layer norm, GELU and the MSE. ``matmul`` is
 ``[..., k] @ [k, m]`` with the leading dims folded into one gemm, and
 computes no gradient for an input that does not require one.
 ``linear(a, w, b)`` adds the bias into the matmul's own fresh array: the two
 tape nodes and bytes of ``add(matmul(a, w), b)``, one array fewer.
 ``attention`` is one tape node for head split, scaled scores, softmax,
-weighted sum and head merge. ``gather_rows_batch`` and ``mse`` take their
-rows as a mask split (``[b, m]``, m >= 1, in range, no row repeated within a
-sample) and share one check of it. The rows being distinct, the gather's
-backward scatters by plain assignment. ``mse`` reads only the masked rows
-of the prediction and of a constant target, and its backward assigns
-straight into a zeroed full-size gradient.
+weighted sum and head merge. ``gather_rows_batch`` takes its rows as a mask
+split (``[b, m]``, m >= 1, in range, no row repeated within a sample), so
+its backward scatters by plain assignment. ``mse`` is a plain mean over a
+prediction and a constant target of the same shape; the model hands it the
+masked rows.
 
 Ops and their grad_fns never write into their inputs or into a gradient
 they receive (``add`` hands one gradient array to both parents). They may
@@ -270,30 +269,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 # movement
 
 
-def _mask_split(rows, b: int, n: int, what: str) -> np.ndarray:
-    """``rows`` as a [b, m] mask split of n rows: m >= 1, each row in range,
-    none repeated within a sample."""
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 2 or rows.shape[0] != b or rows.shape[1] == 0:
-        raise ValueError(f"{what} must be [{b}, m] with m >= 1, got shape {rows.shape}")
-    if rows.min() < 0 or rows.max() >= n:
-        raise IndexError(f"{what} out of range for {n} rows")
-    ordered = np.sort(rows, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise ValueError(f"{what} repeat within a sample; they must be a mask split")
-    return rows
-
-
 def gather_rows_batch(a: Tensor, idx) -> Tensor:
     """Per-sample row gather: a [b, n, d], idx [b, k] -> [b, k, d], where
-    idx is a mask split as ``mse`` takes it (the visible rows of MIM, or the
-    permutation that puts every row back in place). The rows being distinct,
-    the backward scatters the gradient by plain assignment."""
+    idx is a mask split: k >= 1, each row in range, none repeated within a
+    sample (the masked rows of MIM, or the permutation that puts every row
+    back in place). The rows being distinct, the backward scatters the
+    gradient by plain assignment."""
     if a.ndim != 3:
         raise ValueError(f"gather_rows_batch expects [b, n, d] rows, got {a.shape}")
-    ash = a.shape
-    idx = _mask_split(idx, ash[0], ash[1], "gather_rows_batch rows")
-    rows = np.arange(ash[0])[:, None]
+    ash = b, n, _ = a.shape
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[0] != b or idx.shape[1] == 0:
+        raise ValueError(
+            f"gather_rows_batch rows must be [{b}, m] with m >= 1 (the masked or visible "
+            f"rows of each sample), got shape {idx.shape}"
+        )
+    if idx.min() < 0 or idx.max() >= n:
+        raise IndexError(f"gather_rows_batch rows out of range for {n} rows")
+    ordered = np.sort(idx, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("gather_rows_batch rows repeat within a sample; they must be a mask split")
+    rows = np.arange(b)[:, None]
 
     def grad_fn(g):
         ga = np.zeros(ash, dtype=g.dtype)
@@ -393,43 +389,34 @@ def gelu(a: Tensor) -> Tensor:
 # loss
 
 
-def mse(pred: Tensor, target: np.ndarray, rows) -> Tensor:
-    """Masked mean squared error as a float64 scalar: pred and the constant
-    target are [b, n, d], rows [b, m] names the masked rows of each sample,
-    distinct within a sample (a mask split). Only those rows count, and the
-    other rows of ``pred`` get exactly zero gradient.
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error of ``pred`` against a constant target of the same
+    shape, as a float64 scalar.
 
-    The difference of the gathered rows is formed in the working dtype; its
-    squares are taken and summed in float64, and the loss stays float64. A
-    float32 loss near 1 only resolves steps of 1.2e-7, which swamps the
-    finite differences of parameters whose gradients are ~1e-4. The gradient
-    handed to ``pred`` keeps ``pred``'s own dtype. The backward scales the
-    forward's difference array in place and assigns it into a zeroed
-    gradient: the bytes of ``gather_rows_batch`` followed by an unmasked MSE,
-    without the gathered prediction or the scaled copy. ``rows`` passes the
-    same mask-split check as the gather's index.
+    The difference is formed in the working dtype; its squares are taken and
+    summed in float64, and the loss stays float64. A float32 loss near 1
+    only resolves steps of 1.2e-7, which swamps the finite differences of
+    parameters whose gradients are ~1e-4. The backward scales the forward's
+    difference array in place and hands it to ``pred``, in ``pred``'s own
+    dtype.
     """
     pred = _as_tensor(pred)
-    target = np.asarray(target)
-    if pred.ndim != 3 or target.shape != pred.shape:
-        raise ValueError(f"mse expects [b, n, d] pred and target, got {pred.shape} and {target.shape}")
-    b, n, _ = pred.shape
-    rows = _mask_split(rows, b, n, "mse masked rows")
-    batch = np.arange(b)[:, None]
-    diff = pred.data[batch, rows]
-    # the target's rows in pred's dtype first, as a Tensor of them would be
-    np.subtract(diff, np.asarray(target[batch, rows], dtype=diff.dtype), out=diff)
+    # the target in pred's dtype first, as a Tensor of it would be
+    target = np.asarray(target, dtype=pred.data.dtype)
+    if target.shape != pred.shape or pred.size == 0:
+        raise ValueError(
+            f"mse expects a non-empty pred and a target of its shape, got {pred.shape} and {target.shape}"
+        )
+    # out= keeps even a 0-d difference an array the backward can scale in place
+    diff = np.subtract(pred.data, target, out=np.empty_like(pred.data))
     count = diff.size
     flat = diff.reshape(-1)
     loss = np.einsum("i,i->", flat, flat, dtype=np.float64) / count
-    psh = pred.shape
 
     def grad_fn(g):
         # a python float keeps diff's dtype; a float64 0-d array would widen it
         np.multiply(diff, 2.0 * float(g) / count, out=diff)
-        gp = np.zeros(psh, dtype=diff.dtype)
-        gp[batch, rows] = diff
-        return (gp,)
+        return (diff,)
 
     return _result(loss, (pred,), grad_fn)
 

@@ -206,6 +206,10 @@ def predict_seg(head: LinearHead, token_features: np.ndarray, grid: tuple[int, i
 
 
 def _split(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n < 2:
+        raise ValueError(
+            f"sample count {n} < 2; a probe needs one sample to fit the head and one to evaluate it"
+        )
     n_eval = max(1, int(round(EVAL_FRACTION * n)))
     idx = np.arange(n)
     return idx[: n - n_eval], idx[n - n_eval :]
@@ -216,8 +220,8 @@ def run_cls_probe(
 ) -> tuple[LinearHead, ProbeReport]:
     if dataset.labels is None:
         raise ValueError("classification probe needs a labeled dataset")
-    feats = extract_features(net, dataset.images, dataset.modality_id)
     train_idx, eval_idx = _split(len(dataset.labels))
+    feats = extract_features(net, dataset.images, dataset.modality_id)
     head = train_linear_cls(feats[train_idx], dataset.labels[train_idx], config)
     eval_acc = top1_accuracy(classify(head, feats[eval_idx]), dataset.labels[eval_idx])
     assert 0.0 <= eval_acc <= 1.0
@@ -236,10 +240,10 @@ def run_seg_probe(
 ) -> tuple[LinearHead, ProbeReport]:
     if dataset.masks is None:
         raise ValueError("segmentation probe needs a mask-labeled dataset")
+    train_idx, eval_idx = _split(len(dataset.masks))
     patch = net.dims.patch_size
     feats = extract_features(net, dataset.images, dataset.modality_id, per_token=True)
     masks = resize_nearest(dataset.masks, net.dims.input_size)
-    train_idx, eval_idx = _split(masks.shape[0])
     head = train_linear_seg(feats[train_idx], masks[train_idx], patch, config)
     pred = predict_seg(head, feats[eval_idx], net.dims.grid, patch)
     miou = mean_iou(pred, masks[eval_idx], config.k_classes)

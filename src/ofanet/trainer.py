@@ -6,8 +6,9 @@ streams stay spatially unaligned end to end. The last partial batch per
 modality per epoch is dropped, keeping the per-epoch step count exact.
 
 Each stream is held as patch rows [n, tokens, p*p*c], patchified once when
-it is loaded; a step gathers its mini-batch of rows and hands it to
-``mim_forward_batch``, which embeds them and uses them as the targets.
+it is loaded; a step hands ``mim_forward_batch`` the stream and its
+mini-batch's image indices, and only the rows the step uses are gathered:
+the visible rows to embed and the masked rows as targets.
 
 Each step updates the parameters that received a gradient in place: the
 same Tensor objects get the optimizer's new arrays, and their gradients are
@@ -134,7 +135,7 @@ def _load_streams(
 
     Each image is resized to the input size and patchified once, here, one
     image at a time into its stream, so no second full-size copy of a
-    stream is held; steps gather their batch straight from these rows."""
+    stream is held; steps gather the rows they use straight from it."""
     dims = config.model_dims()
     streams: dict[str, np.ndarray] = {}
     for spec in specs:
@@ -210,11 +211,11 @@ def pretrain(
         }
         for batch_index in range(steps_per_mod):
             for mid in config.modalities:
-                rows = orders[mid][
+                batch = orders[mid][
                     batch_index * config.batch_size : (batch_index + 1) * config.batch_size
                 ]
                 lr = lr_at(global_step, total_steps, config)
-                loss = _train_step(net, streams[mid][rows], mid, config, state, lr, global_step)
+                loss = _train_step(net, streams[mid], batch, mid, config, state, lr, global_step)
                 log_lines.append(
                     f"{global_step}\t{epoch}\t{mid}\t{loss:.9g}\t{lr:.9g}"
                 )
@@ -233,15 +234,16 @@ def pretrain(
 
 def _train_step(
     net: OfaNet,
-    patches: np.ndarray,
+    stream: np.ndarray,
+    batch: np.ndarray,
     modality: str,
     config: TrainConfig,
     state: OptimizerState,
     lr: float,
     global_step: int,
 ) -> float:
-    keys = [derive_seed("mask", config.seed, global_step, slot) for slot in range(patches.shape[0])]
-    total = mim_forward_batch(net, patches, modality, config.mask_ratio, keys)
+    keys = [derive_seed("mask", config.seed, global_step, slot) for slot in range(len(batch))]
+    total = mim_forward_batch(net, stream, modality, batch, config.mask_ratio, keys)
     ndt.backward(total)
     loss = total.item()
     if not math.isfinite(loss):

@@ -162,9 +162,12 @@ def _op_cases(rng):
     case("layernorm_beta", np.zeros(6), lambda x: dot(
         ndt.layernorm(Tensor(g6), Tensor(np.ones(6)), x), ramp))
     case("gelu", g6 * 1.5, lambda x: dot(ndt.gelu(x), 1.0))
-    case("mse", b3[None, None], lambda x: ndt.mse(x, b3[None, None] * 0.1, [[0]]))
+    # the model's masked loss: the masked rows gathered, then mse
+    case("mse", b3[None, None], lambda x: ndt.mse(ndt.gather_rows_batch(x, [[0]]), b3[None, None] * 0.1))
     t243 = rng.normal(size=(2, 4, 3))
-    case("mse_masked", rng.normal(size=(2, 4, 3)), lambda x: ndt.mse(x, t243, [[3, 0], [1, 2]]))
+    rows = np.array([[3, 0], [1, 2]])
+    t_rows = t243[np.arange(2)[:, None], rows]
+    case("mse_masked", rng.normal(size=(2, 4, 3)), lambda x: ndt.mse(ndt.gather_rows_batch(x, rows), t_rows))
     return cases, fd_target
 
 
@@ -240,7 +243,7 @@ def test_criterion_masking_contract():
     target = np.random.default_rng(5).normal(size=(1, n, 48)).astype(np.float32)
     pred = Tensor(np.zeros((1, n, 48), dtype=np.float32), requires_grad=True)
     masked_idx, _ = m.draw_masks(n, 0.75, [1])
-    ndt.backward(ndt.mse(pred, target, masked_idx))
+    ndt.backward(ndt.mse(ndt.gather_rows_batch(pred, masked_idx), target[:, masked_idx[0]]))
     visible = np.setdiff1d(np.arange(n), masked_idx[0])
     grad_ok = bool(np.all(pred.grad[0, visible] == 0.0) and np.any(pred.grad[0, masked_idx[0]] != 0.0))
 

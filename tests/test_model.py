@@ -19,6 +19,7 @@ import composed
 from gradcheck import finite_diff, rel_err
 
 REG = default_registry()
+ALL_POSITIONS = np.arange(64)[None]  # every token position of a 32 px image at patch 4
 
 
 def desk_dims(**kw):
@@ -89,15 +90,20 @@ def test_patchify_rejects_indivisible():
 def test_embed_shape_contract():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 1, 0).image
-    tokens = m.embed_patches(net, m.patchify(img[None], 4), "sentinel1")
+    tokens = m.embed_patches(net, m.patchify(img[None], 4), ALL_POSITIONS, "sentinel1")
     assert tokens.shape == (1, 64, 64)
     assert net.dims.grid == (8, 8)
 
 
 def test_embed_zero_image_equals_positional_table():
     net = build_net()
-    tokens = m.embed_patches(net, np.zeros((1, 64, 32), dtype=np.float32), "sentinel1")
-    np.testing.assert_array_equal(tokens.data[0], net.backbone_pos.data)
+    for positions in (np.tile(np.arange(64), (2, 1)), np.arange(64)):  # [b, k], and [k] for every sample
+        tokens = m.embed_patches(net, np.zeros((2, 64, 32), dtype=np.float32), positions, "sentinel1")
+        np.testing.assert_array_equal(tokens.data, np.broadcast_to(net.backbone_pos.data, (2, 64, 64)))
+    # visible rows take their own positions' rows of the table
+    visible = np.array([[9, 2, 40]])
+    tokens = m.embed_patches(net, np.zeros((1, 3, 32), dtype=np.float32), visible, "sentinel1")
+    np.testing.assert_array_equal(tokens.data[0], net.backbone_pos.data[visible[0]])
 
 
 def test_enmap_embedder_weight_shape_forced_by_channels():
@@ -119,7 +125,7 @@ def test_wide_reconstruction_head_keeps_backward_gain_order_one():
 def test_embed_unknown_modality():
     net = build_net()
     with pytest.raises(KeyError, match="gaofen"):
-        m.embed_patches(net, np.zeros((1, 64, 64), dtype=np.float32), "gaofen")
+        m.embed_patches(net, np.zeros((1, 64, 64), dtype=np.float32), ALL_POSITIONS, "gaofen")
     with pytest.raises(KeyError, match="gaofen"):
         m.forward_tokens(net, np.zeros((1, 32, 32, 4), dtype=np.float32), "gaofen")
 
@@ -130,16 +136,16 @@ def test_embed_channel_mismatch():
         m.forward_tokens(net, np.zeros((1, 32, 32, 3), dtype=np.float32), "sentinel1")
     # 3-band patch rows, 4 * 4 * 3 wide, where sentinel1's are 32 wide
     with pytest.raises(ValueError, match="2 bands"):
-        m.embed_patches(net, np.zeros((1, 64, 48), dtype=np.float32), "sentinel1")
+        m.embed_patches(net, np.zeros((1, 64, 48), dtype=np.float32), ALL_POSITIONS, "sentinel1")
 
 
 def test_embed_requires_resized_input():
     net = build_net()
     with pytest.raises(ValueError, match="resized"):
         m.forward_tokens(net, np.zeros((1, 64, 64, 2), dtype=np.float32), "sentinel1")
-    # a 16x16 image's 16 patch rows where a 32x32 image has 64
-    with pytest.raises(ValueError, match=r"\[b, 64, 32\]"):
-        m.embed_patches(net, np.zeros((1, 16, 32), dtype=np.float32), "sentinel1")
+    # a 16x16 image's 16 patch rows against a 32x32 image's 64 positions
+    with pytest.raises(ValueError, match=r"\(1, 16, 32\) and \(1, 64\)"):
+        m.embed_patches(net, np.zeros((1, 16, 32), dtype=np.float32), ALL_POSITIONS, "sentinel1")
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +193,24 @@ def test_random_mask_degenerate_ratios():
 # encode / decode
 
 
+def _visible_tokens(net, img, modality, visible):
+    """The embedded visible rows of one image as a batch of 1."""
+    patches = m.patchify(img[None], net.dims.patch_size)
+    return m.embed_patches(net, patches[0, visible], visible, modality)
+
+
 def _masked_tokens(net, img, modality, key):
-    """(tokens, masked, visible) for one image as a batch of 1."""
-    tokens = m.embed_patches(net, m.patchify(img[None], net.dims.patch_size), modality)
+    """(visible tokens, masked, visible) for one image as a batch of 1."""
     masked, visible = m.draw_masks(net.dims.tokens, 0.75, [key])
-    return tokens, masked, visible
+    return _visible_tokens(net, img, modality, visible), masked, visible
 
 
 def test_encode_shape_and_determinism():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 2, 0).image
-    tokens, _, visible = _masked_tokens(net, img, "sentinel1", 5)
-    out1 = m.encode_tokens(net, tokens, visible)
-    out2 = m.encode_tokens(net, tokens, visible)
+    tokens, _, _ = _masked_tokens(net, img, "sentinel1", 5)
+    out1 = m.encode_tokens(net, tokens)
+    out2 = m.encode_tokens(net, tokens)
     assert out1.shape == (1, 16, 64)
     np.testing.assert_array_equal(out1.data, out2.data)
     ndt.active_tape().clear()
@@ -210,8 +221,8 @@ def test_encode_49_visible_tokens_shape():
     dims = desk_dims(input_size=56)
     net = m.build_ofanet(dims, [REG.lookup("sentinel1")], seed=0)
     img = np.random.default_rng(0).normal(size=(56, 56, 2)).astype(np.float32)
-    tokens, _, visible = _masked_tokens(net, img, "sentinel1", 3)
-    assert m.encode_tokens(net, tokens, visible).shape == (1, 49, 64)
+    tokens, _, _ = _masked_tokens(net, img, "sentinel1", 3)
+    assert m.encode_tokens(net, tokens).shape == (1, 49, 64)
     ndt.active_tape().clear()
 
 
@@ -219,10 +230,10 @@ def test_encode_permutation_equivariant():
     net = build_net()
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 3, 1).image
     tokens, _, visible = _masked_tokens(net, img, "sentinel1", 11)
-    out = m.encode_tokens(net, tokens, visible).data
+    out = m.encode_tokens(net, tokens).data
 
     perm = np.random.default_rng(1).permutation(visible.shape[1])
-    out_shuffled = m.encode_tokens(net, tokens, visible[:, perm]).data
+    out_shuffled = m.encode_tokens(net, _visible_tokens(net, img, "sentinel1", visible[:, perm])).data
     unshuffled = np.empty_like(out_shuffled)
     unshuffled[:, perm] = out_shuffled
     np.testing.assert_allclose(unshuffled, out, atol=1e-5)
@@ -234,8 +245,8 @@ def test_decode_output_shapes():
         net = build_net((mid,))
         img = gen_pretrain_sample(REG.lookup(mid), 4, 0).image
         tokens, masked, visible = _masked_tokens(net, img, mid, 2)
-        pred = m.decode_tokens(net, m.encode_tokens(net, tokens, visible), masked, visible, mid)
-        assert pred.shape == (1, 64, ppc)
+        pred = m.decode_tokens(net, m.encode_tokens(net, tokens), masked, visible, mid)
+        assert pred.shape == (1, 48, ppc)
         ndt.active_tape().clear()
 
 
@@ -243,13 +254,13 @@ def test_decode_mask_token_ablation():
     net = build_net(("naip",))
     img = gen_pretrain_sample(REG.lookup("naip"), 5, 0).image
     tokens, masked, visible = _masked_tokens(net, img, "naip", 7)
-    latent = m.encode_tokens(net, tokens, visible)
+    latent = m.encode_tokens(net, tokens)
     pred = m.decode_tokens(net, latent, masked, visible, "naip").data.copy()
 
     token = net.params["decoder.naip.mask_token"]
     net.params["decoder.naip.mask_token"] = Tensor(np.zeros_like(token.data), requires_grad=True)
     pred_zeroed = m.decode_tokens(net, latent, masked, visible, "naip").data
-    diff_masked = np.linalg.norm(pred[0, masked[0]] - pred_zeroed[0, masked[0]])
+    diff_masked = np.linalg.norm(pred - pred_zeroed)  # the head reads the masked rows alone
     assert diff_masked > 0
     ndt.active_tape().clear()
 
@@ -258,7 +269,7 @@ def test_decode_unknown_modality():
     net = build_net(("naip",))
     img = gen_pretrain_sample(REG.lookup("naip"), 5, 0).image
     tokens, masked, visible = _masked_tokens(net, img, "naip", 7)
-    latent = m.encode_tokens(net, tokens, visible)
+    latent = m.encode_tokens(net, tokens)
     with pytest.raises(KeyError, match="sentinel2"):
         m.decode_tokens(net, latent, masked, visible, "sentinel2")
     ndt.active_tape().clear()
@@ -268,9 +279,15 @@ def test_decode_unknown_modality():
 # loss
 
 
+def _mim_loss(pred: Tensor, target: np.ndarray, masked) -> Tensor:
+    """The MIM loss of full-row predictions: the masked rows gathered, then mse."""
+    masked = np.asarray(masked, dtype=np.intp)
+    return ndt.mse(ndt.gather_rows_batch(pred, masked), target[np.arange(len(masked))[:, None], masked])
+
+
 def test_mim_loss_perfect_reconstruction():
     target = np.random.default_rng(1).normal(size=(1, 8, 6)).astype(np.float32)
-    loss = ndt.mse(Tensor(target.copy()), target, [[1, 3, 5]])
+    loss = _mim_loss(Tensor(target.copy()), target, [[1, 3, 5]])
     assert loss.item() == 0.0
 
 
@@ -278,13 +295,13 @@ def test_mim_loss_ignores_visible_rows():
     target = np.random.default_rng(2).normal(size=(1, 8, 6)).astype(np.float32)
     pred = target.copy()
     pred[0, [0, 2, 4, 6, 7]] = 99.0  # garbage on visible rows only
-    loss = ndt.mse(Tensor(pred), target, [[1, 3, 5]])
+    loss = _mim_loss(Tensor(pred), target, [[1, 3, 5]])
     assert loss.item() == 0.0
 
 
 def test_mim_loss_constant_offset():
     target = np.random.default_rng(3).normal(size=(1, 8, 6)).astype(np.float32)
-    loss = ndt.mse(Tensor(target + 1.0), target, [[0, 5]])
+    loss = _mim_loss(Tensor(target + 1.0), target, [[0, 5]])
     assert loss.item() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -292,7 +309,7 @@ def test_mim_loss_gradient_zero_at_visible_rows():
     target = np.random.default_rng(4).normal(size=(1, 8, 6)).astype(np.float32)
     pred = Tensor(np.zeros((1, 8, 6), dtype=np.float32), requires_grad=True)
     masked = np.array([1, 3, 5])
-    ndt.backward(ndt.mse(pred, target, masked[None]))
+    ndt.backward(_mim_loss(pred, target, masked[None]))
     visible = np.setdiff1d(np.arange(8), masked)
     np.testing.assert_array_equal(pred.grad[0, visible], 0.0)
     assert np.all(pred.grad[0, masked] != 0.0)
@@ -300,7 +317,7 @@ def test_mim_loss_gradient_zero_at_visible_rows():
 
 def test_mim_loss_empty_mask_rejected():
     with pytest.raises(ValueError, match="masked"):
-        ndt.mse(Tensor(np.zeros((1, 4, 2))), np.zeros((1, 4, 2)), np.zeros((1, 0), dtype=np.intp))
+        _mim_loss(Tensor(np.zeros((1, 4, 2))), np.zeros((1, 4, 2)), np.zeros((1, 0), dtype=np.intp))
 
 
 def test_mim_forward_batch_matches_per_sample_loop():
@@ -310,7 +327,7 @@ def test_mim_forward_batch_matches_per_sample_loop():
     patches = m.patchify(np.stack([gen_pretrain_sample(spec, 21, i, size=16).image for i in range(4)]), 4)
     keys = [derive_seed("eq", i) for i in range(4)]
 
-    batched = m.mim_forward_batch(net, patches, "sentinel1", 0.75, keys)
+    batched = m.mim_forward_batch(net, patches, "sentinel1", np.arange(4), 0.75, keys)
     ndt.backward(batched)
     grads_batched = {n: t.grad.copy() for n, t in m.named_parameters(net) if t.grad is not None}
     for _, t in m.named_parameters(net):
@@ -318,7 +335,7 @@ def test_mim_forward_batch_matches_per_sample_loop():
 
     total = None
     for i in range(4):
-        loss = m.mim_forward_batch(net, patches[i : i + 1], "sentinel1", 0.75, keys[i : i + 1])
+        loss = m.mim_forward_batch(net, patches, "sentinel1", [i], 0.75, keys[i : i + 1])
         total = loss if total is None else ndt.add(total, loss)
     total = composed.dot(total, 1.0 / 4)
     ndt.backward(total)
@@ -332,15 +349,18 @@ def test_mim_forward_batch_matches_per_sample_loop():
 
 
 def _image_path_loss(net, images, modality, ratio, keys):
-    """The MIM loss as the image path composed it: the embed patchifies the
-    images, and the loss gathers the prediction's masked rows before an
-    unmasked MSE (``composed.masked_mse``)."""
+    """The MIM loss as an image path composes it: the step patchifies the
+    images, gathers their visible rows with their positions' rows of the
+    table for the embed, and takes an unmasked MSE (``composed.unmasked_mse``)
+    over the masked rows."""
     patches = m.patchify(images, net.dims.patch_size)
     weight, bias = (net.params[f"embedder.{modality}.{k}"] for k in ("weight", "bias"))
-    tokens = ndt.add(ndt.linear(Tensor(patches), weight, bias), net.backbone_pos)
     masked, visible = m.draw_masks(net.dims.tokens, ratio, keys)
-    pred = m.decode_tokens(net, m.encode_tokens(net, tokens, visible), masked, visible, modality)
-    return composed.masked_mse(pred, patches, masked)
+    samples = np.arange(len(images))[:, None]
+    pos = Tensor(net.backbone_pos.data[visible])
+    tokens = ndt.add(ndt.linear(Tensor(patches[samples, visible]), weight, bias), pos)
+    pred = m.decode_tokens(net, m.encode_tokens(net, tokens), masked, visible, modality)
+    return composed.unmasked_mse(pred, Tensor(patches[samples, masked]))
 
 
 @pytest.mark.parametrize("modality", ["naip", "enmap"])
@@ -354,7 +374,7 @@ def test_patch_row_path_matches_image_path_bytes(modality):
     batch = [4, 1, 5, 2]
     keys = [derive_seed("rows", i) for i in range(len(batch))]
     results = []
-    for loss_of in (lambda: m.mim_forward_batch(net, stream[batch], modality, 0.75, keys),
+    for loss_of in (lambda: m.mim_forward_batch(net, stream, modality, batch, 0.75, keys),
                     lambda: _image_path_loss(net, images[batch], modality, 0.75, keys)):
         loss = loss_of()
         ndt.backward(loss)
@@ -368,6 +388,49 @@ def test_patch_row_path_matches_image_path_bytes(modality):
     assert any(name.startswith(f"embedder.{modality}.") for name in grads)
     for name in ref_grads:
         assert grads[name] == ref_grads[name], name
+
+
+@pytest.mark.parametrize("modality", ["naip", "enmap"])
+def test_mim_forward_batch_matches_full_row_chain(modality):
+    # embedding only the visible rows and reconstructing only the masked ones
+    # is the full-row chain with the unused rows dropped: in float64, the same
+    # loss and gradients up to summation order
+    with ndt.dtype_mode("float64"):
+        net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=4)
+        spec = REG.lookup(modality)
+        stream = np.stack([m.patchify(gen_pretrain_sample(spec, 17, i).image, 4) for i in range(6)])
+        batch = [3, 0, 5, 1]
+        keys = [derive_seed("full-row", i) for i in range(len(batch))]
+        results = []
+        for loss_of in (m.mim_forward_batch, composed.full_row_mim_loss):
+            loss = loss_of(net, stream, modality, batch, 0.75, keys)
+            ndt.backward(loss)
+            results.append((loss.item(), {n: t.grad for n, t in m.named_parameters(net) if t.grad is not None}))
+            for _, t in m.named_parameters(net):
+                t.grad = None
+    (loss, grads), (ref_loss, ref_grads) = results
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    assert any(name.startswith(f"embedder.{modality}.") for name in grads)
+    for name in ref_grads:
+        assert rel_err(grads[name], ref_grads[name]) < 1e-10, name
+
+
+def test_enmap_step_builds_no_full_width_token_array():
+    # a desk enmap step embeds the 16 visible rows and reconstructs the 48
+    # masked ones: no tape node holds all 64 rows at the 3,584 patch width
+    net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=0)
+    stream = np.random.default_rng(8).normal(size=(20, 64, 3584)).astype(np.float32)
+    batch = np.arange(2, 18)
+    m.mim_forward_batch(net, stream, "enmap", batch, 0.75, [derive_seed("wide", i) for i in range(16)])
+    tape = list(ndt.active_tape())
+    ndt.active_tape().clear()
+    assert not [node.out.shape for node in tape if node.out.shape[-2:] == (64, 3584)]
+    embed_w, head_b = net.params["embedder.enmap.weight"], net.params["decoder.enmap.head.bias"]
+    (embed,) = [node for node in tape if any(p is embed_w for p in node.parents)]
+    (head,) = [node for node in tape if any(p is head_b for p in node.parents)]
+    assert embed.parents[0].shape == (16, 16, 3584)
+    assert head.out.shape == (16, 48, 3584)
 
 
 def test_gather_rows_batch_matches_loop():
@@ -409,7 +472,7 @@ def test_forward_features_decoder_independent():
     img = gen_pretrain_sample(REG.lookup("sentinel1"), 7, 0).image[None]
     with_dec = m.forward_features(net, img, "sentinel1").data.copy()
     tokens, masked, visible = _masked_tokens(net, img[0], "sentinel1", 7)
-    latent = m.encode_tokens(net, tokens, visible)
+    latent = m.encode_tokens(net, tokens)
     net.params = {n: t for n, t in net.params.items() if not n.startswith("decoder.")}
     np.testing.assert_array_equal(with_dec, m.forward_features(net, img, "sentinel1").data)
     with pytest.raises(KeyError, match="sentinel1"):
@@ -492,7 +555,7 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
         patches = m.patchify(gen_pretrain_sample(spec, 9, 0, size=16).image[None], 4)
         mask_keys = [derive_seed("gradcheck-mask")]
 
-        loss = m.mim_forward_batch(net, patches, "sentinel1", 0.75, mask_keys)
+        loss = m.mim_forward_batch(net, patches, "sentinel1", [0], 0.75, mask_keys)
         ndt.backward(loss)
         grads = {name: t.grad.copy() for name, t in m.named_parameters(net)}
 
@@ -503,7 +566,7 @@ def run_full_net_gradcheck(sample_entries=None, eps=1e-3, dtype="float64"):
             def loss_at(values, tensor=tensor):
                 tensor.data = values
                 with ndt.no_grad():
-                    out = m.mim_forward_batch(net, patches, "sentinel1", 0.75, mask_keys).item()
+                    out = m.mim_forward_batch(net, patches, "sentinel1", [0], 0.75, mask_keys).item()
                 return out
 
             flat = base.reshape(-1)

@@ -360,7 +360,7 @@ def test_broadcast_bias_add_grad():
 def test_backward_square_sum():
     # the mean of squares over every row of [1, 4, 1]: gradient 2x / 4
     x = Tensor([[[1.0], [2.0], [3.0], [4.0]]], requires_grad=True)
-    ndt.backward(ndt.mse(x, np.zeros((1, 4, 1)), [[0, 1, 2, 3]]))
+    ndt.backward(ndt.mse(x, np.zeros((1, 4, 1))))
     np.testing.assert_array_equal(x.grad, [[[0.5], [1.0], [1.5], [2.0]]])
 
 
@@ -494,32 +494,37 @@ def test_forward_ops_finite_on_finite_inputs(vals):
 
 def test_mse_examples():
     p = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
-    assert ndt.mse(p, p.data.copy(), [[0, 1]]).item() == 0.0
-    assert ndt.mse(ndt.add(p, Tensor(1.0)), p.data.copy(), [[1, 0]]).item() == pytest.approx(1.0)
+    assert ndt.mse(p, p.data.copy()).item() == 0.0
+    assert ndt.mse(ndt.add(p, Tensor(1.0)), p.data.copy()).item() == pytest.approx(1.0)
 
 
 def test_mse_grad():
-    # every row masked, in shuffled order: the gradient of the plain MSE
+    # every row gathered, in shuffled order: the gradient of the plain MSE
     rng = np.random.default_rng(31)
     p0 = rng.normal(size=(1, 3, 2))
     t0 = rng.normal(size=(1, 3, 2))
+    rows = [[2, 0, 1]]
     with ndt.dtype_mode("float64"):
         p = Tensor(p0, requires_grad=True)
-        ndt.backward(ndt.mse(p, t0, [[2, 0, 1]]))
+        ndt.backward(ndt.mse(ndt.gather_rows_batch(p, rows), t0[:, rows[0]]))
         np.testing.assert_allclose(p.grad, 2.0 * (p0 - t0) / p0.size, rtol=1e-12)
 
 
 def test_mse_rejects_rows_that_are_not_a_mask_split():
+    # the masked loss is the gather of the masked rows followed by mse
     p = Tensor(np.zeros((2, 4, 3)), requires_grad=True)
-    t = np.zeros((2, 4, 3))
+    t = np.zeros((2, 2, 3))
     with pytest.raises(ValueError, match="repeat"):
-        ndt.mse(p, t, [[0, 1], [2, 2]])
+        ndt.mse(ndt.gather_rows_batch(p, [[0, 1], [2, 2]]), t)
     with pytest.raises(IndexError, match="4 rows"):
-        ndt.mse(p, t, [[0, 4], [1, 2]])
+        ndt.mse(ndt.gather_rows_batch(p, [[0, 4], [1, 2]]), t)
     with pytest.raises(ValueError, match=r"\[2, m\]"):
-        ndt.mse(p, t, [[0, 1]])
+        ndt.mse(ndt.gather_rows_batch(p, [[0, 1]]), t)
     with pytest.raises(ValueError, match="target"):
-        ndt.mse(p, np.zeros((2, 4, 2)), [[0, 1], [1, 2]])
+        ndt.mse(ndt.gather_rows_batch(p, [[0, 1], [1, 2]]), np.zeros((2, 2, 2)))
+    ndt.active_tape().clear()
+    with pytest.raises(ValueError, match="target"):
+        ndt.mse(p, np.zeros((2, 4, 2)))
     assert not ndt.active_tape()
 
 
@@ -536,7 +541,7 @@ def test_mse_float64_loss_float32_grad():
     t0 = rng.normal(size=(1, 4, 7)).astype(np.float32)
     with ndt.dtype_mode("float32"):
         p = Tensor(p0, requires_grad=True)
-        loss = ndt.mse(p, t0, [[3, 1, 0, 2]])
+        loss = ndt.mse(p, t0)
         assert loss.data.dtype == np.float64
         # the difference is taken in float32, the kernel's working dtype
         diff = (p0 - t0).astype(np.float64)
@@ -579,15 +584,16 @@ def _grad_fn_cases(rng):
         case(f"add_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.add(a, b))
         case(f"add_fanout_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.add(a, a))
         case(f"gelu_{s}", lambda shape=shape: [x(*shape)], ndt.gelu)
-        # the masked MSE, whose backward scales its forward's difference in
-        # place, over the shape's items as [b, n, d] (b only from 3 axes up),
-        # every other row masked from the last
+        # the masked MSE, the gather of the masked rows followed by mse (whose
+        # backward scales its forward's difference in place), over the shape's
+        # items as [b, n, d] (b only from 3 axes up), every other row masked
+        # from the last
         b, d = (shape[0] if len(shape) > 2 else 1), (shape[-1] if shape else 1)
         bnd = (b, math.prod(shape) // (b * d), d)
-        target = _frozen(rng.normal(size=bnd).astype(np.float32))
         rows = np.tile(np.arange(bnd[1])[::-2], (b, 1))
+        target = _frozen(rng.normal(size=(b, rows.shape[1], d)).astype(np.float32))
         case(f"mse_{s}", lambda bnd=bnd: [x(*bnd)],
-             lambda a, target=target, rows=rows: ndt.mse(a, target, rows))
+             lambda a, target=target, rows=rows: ndt.mse(ndt.gather_rows_batch(a, rows), target))
         if shape:
             case(f"layernorm_{s}", lambda shape=shape: [x(*shape), x(shape[-1]), x(shape[-1])],
                  ndt.layernorm)
@@ -847,9 +853,14 @@ def test_mse_matches_composed_chain_bytes(dtype, width):
         rows = np.stack([rng.permutation(n)[:m] for _ in range(b)])
 
         g0 = np.array(-0.75)
-        loss = ndt.mse(Tensor(pred0, requires_grad=True), target, rows)
-        (node,) = ndt.active_tape()
-        (got,) = node.grad_fn(g0)
+        batch = np.arange(b)[:, None]
+
+        def masked_loss(pred):  # the model's masked loss: gather, then mse
+            return ndt.mse(ndt.gather_rows_batch(pred, rows), target[batch, rows])
+
+        loss = masked_loss(Tensor(pred0, requires_grad=True))
+        gather_node, mse_node = ndt.active_tape()
+        (got,) = gather_node.grad_fn(*mse_node.grad_fn(g0))
         ndt.active_tape().clear()
         ref = composed.masked_mse(Tensor(pred0, requires_grad=True), target, rows)
         gather_node, mse_node = ndt.active_tape()
@@ -861,7 +872,6 @@ def test_mse_matches_composed_chain_bytes(dtype, width):
         assert got.tobytes() == want.tobytes()
 
         # the data tell those two mutant backwards from the real one
-        batch = np.arange(b)[:, None]
         diff = pred0[batch, rows] - target[batch, rows].astype(dtype)
         scale = 2.0 * float(g0) / diff.size
         after = np.zeros_like(pred0)
@@ -873,8 +883,8 @@ def test_mse_matches_composed_chain_bytes(dtype, width):
 
         # and through backward, from the loss's own unit gradient
         grads = []
-        for build in (ndt.mse, composed.masked_mse):
+        for build in (masked_loss, lambda pred: composed.masked_mse(pred, target, rows)):
             pred = Tensor(pred0, requires_grad=True)
-            ndt.backward(build(pred, target, rows))
+            ndt.backward(build(pred))
             grads.append(pred.grad)
         assert grads[0].dtype == grads[1].dtype and grads[0].tobytes() == grads[1].tobytes()

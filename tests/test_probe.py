@@ -205,6 +205,19 @@ def test_run_seg_probe_freezes_backbone_and_reports():
     assert head.weight.shape == (16, 2)
 
 
+@pytest.mark.parametrize("task", [CLS_TASK, SEG_TASK])
+def test_run_probe_rejects_a_single_sample(task):
+    # one sample cannot both fit the head and evaluate it
+    spec = REG.lookup("sentinel1")
+    if task == CLS_TASK:
+        run, samples, k = run_cls_probe, gen_cls_dataset(spec, 3, 3, 3, size=16), 3
+    else:
+        run, samples, k = run_seg_probe, gen_seg_dataset(spec, 2, 2, 3, size=16), 2
+    data = stack_samples("sentinel1", samples[:1])
+    with pytest.raises(ValueError, match="sample count 1 < 2; a probe needs one sample"):
+        run(small_net(), data, ProbeConfig(task=task, k_classes=k), "random-init")
+
+
 def test_run_seg_probe_resizes_non_square_sets():
     # 32x48 against a 32 px net: the heights agree, the widths do not; the
     # set probes exactly as the same set resized to 32x32 first

@@ -191,7 +191,7 @@ def test_train_step_updates_parameters_in_place():
     data_before = {name: t.data for name, t in before.items()}
     state = OptimizerState()
     for step in range(2):
-        trainer._train_step(net, patches, "sentinel1", cfg, state, 1e-3, step)
+        trainer._train_step(net, patches, np.arange(len(patches)), "sentinel1", cfg, state, 1e-3, step)
         after = dict(m.named_parameters(net))
         assert list(after) == list(before)
         for name, t in after.items():
