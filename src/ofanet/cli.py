@@ -102,14 +102,27 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+def _tensor_stats(arr: np.ndarray) -> tuple[float, float, float, float, int]:
+    """Mean, std, min and max of the finite values, in float64, and the count
+    of the other values; the statistics are nan when no value is finite."""
+    finite = arr[np.isfinite(arr)].astype(np.float64)
+    if not finite.size:
+        return np.nan, np.nan, np.nan, np.nan, arr.size
+    return finite.mean(), finite.std(), finite.min(), finite.max(), arr.size - finite.size
+
+
 def _cmd_inspect(args) -> int:
     loaded = ckpt.read_checkpoint(args.checkpoint)
     print(f"checkpoint: {args.checkpoint}")
     print(f"tensors: {len(loaded.tensors)}  parameters: {loaded.total_parameters}")
     print()
+    stats = "".join(f" {s:>12s}" for s in ("mean", "std", "min", "max"))
+    print(f"  {'tensor':48s} {'shape':>14s} {'size':>9s}{stats} {'non-finite':>10s}")
     for name, arr in loaded.tensors.items():
         shape = "x".join(str(s) for s in arr.shape) or "scalar"
-        print(f"  {name:48s} {shape:>14s} {arr.size:>9d}")
+        *values, nonfinite = _tensor_stats(arr)
+        stats = "".join(f" {x:>12.6g}" for x in values)
+        print(f"  {name:48s} {shape:>14s} {arr.size:>9d}{stats} {nonfinite:>10d}")
     print()
     print("embedded config:")
     for line in loaded.config_text.rstrip("\n").splitlines():
@@ -163,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default=None, help="append the report line to this file")
     b.set_defaults(fn=_cmd_probe)
 
-    i = sub.add_parser("inspect", help="print checkpoint tensors and embedded config")
+    i = sub.add_parser("inspect", help="print checkpoint tensors, their statistics and the embedded config")
     i.add_argument("--checkpoint", required=True)
     i.set_defaults(fn=_cmd_inspect)
 

@@ -342,10 +342,18 @@ def load_dataset(path: str | Path) -> LoadedDataset:
         images = samples["image"]
     else:
         images = np.array(samples["image"], dtype=np.float32, order="C")
-    # a NaN or Inf pixel would flow silently into features, losses and metrics
-    if not np.isfinite(images).all():
-        bad = int(np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))[0])
-        rd.fail(f"sample {bad} has non-finite pixels", start + bad * record)
+    # a NaN, Inf or huge pixel would flow silently into features, losses and
+    # metrics. One min and one max pass check the set (a NaN propagates
+    # through both); only a set that fails them is searched for its first
+    # offending sample.
+    if images.size and not (-IMAGE_CLAMP <= images.min() and images.max() <= IMAGE_CLAMP):
+        rows = images.reshape(n, -1)
+        bad = int(np.flatnonzero(~(np.abs(rows) <= IMAGE_CLAMP).all(axis=1))[0])
+        at = start + bad * record
+        if not np.isfinite(rows[bad]).all():
+            rd.fail(f"sample {bad} has non-finite pixels", at)
+        value = rows[bad][np.abs(rows[bad]) > IMAGE_CLAMP][0]
+        rd.fail(f"sample {bad} has pixel {value:g} outside [-{IMAGE_CLAMP:g}, {IMAGE_CLAMP:g}]", at)
     labels = samples["label"].astype(np.int64) if kind == LABEL_CLASS else None
     masks = np.array(samples["mask"], order="C") if kind == LABEL_MASK else None
     return LoadedDataset(modality_id, images, labels, masks)

@@ -10,10 +10,13 @@ it is loaded; a step hands ``mim_forward_batch`` the stream and its
 mini-batch's image indices, and only the rows the step uses are gathered:
 the visible rows to embed and the masked rows as targets.
 
-Each step updates the parameters that received a gradient in place: the
-same Tensor objects get the optimizer's new arrays, and their gradients are
-cleared for the next step. Parameters of the other modalities stay as they
-are. The optimizer's moment buffers are updated in place.
+A step trains three blocks of the parameter table: the modality's
+embedder, the shared backbone and the modality's decoder. The optimizer
+holds every parameter, both moments and the gradients in flat buffers of
+the table's (checkpoint) order, where each block is one contiguous span, and
+the parameters' arrays are views of that buffer. So a step updates three
+spans in place and allocates no parameter array; the other modalities'
+blocks, and their moments, stay as they are.
 
 Every source of randomness (data, shuffles, masks, init) is a derived
 counter seed, so identical config+seed reproduces the loss log and the
@@ -25,7 +28,8 @@ modality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +38,9 @@ from . import checkpoint as ckpt
 from . import ndtensor as ndt
 from . import synthdata
 from .binread import atomic_write
-from .model import OfaNet, mim_forward_batch, named_parameters, patchify
+from .model import OfaNet, mim_forward_batch, patchify
 from .modalities import ModalityRegistry, ModalitySpec, builtin_modalities, default_registry
+from .ndtensor import Tensor
 from .runconfig import RunConfig, TrainConfig, serialize_config
 from .seeds import derive_seed, generator
 
@@ -45,65 +50,109 @@ ADAM_EPS = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# optimizer: decoupled weight decay + adaptive moments
+# optimizer: decoupled weight decay + adaptive moments over flat buffers
+
+
+def _section_key(name: str) -> str:
+    """The block a parameter trains with: ``embedder.<m>``, ``decoder.<m>``,
+    or the name's first component (``backbone``)."""
+    head, _, rest = name.partition(".")
+    return f"{head}.{rest.partition('.')[0]}" if head in ("embedder", "decoder") else head
 
 
 @dataclass
+class _Section:
+    key: str
+    span: slice  # of the flat buffers
+    members: list[tuple[str, Tensor, np.ndarray]]  # name, parameter, its view of `grads`
+
+
 class OptimizerState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """Adam moments, a gradient buffer and the parameters themselves, each one
+    flat array in the order of the parameter table.
 
-
-def optimizer_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    lr: float,
-    weight_decay: float,
-) -> dict[str, np.ndarray]:
-    """One decoupled update over the given parameters; returns new arrays.
-
-    Moment buffers are created on first touch and then updated in place,
-    with one scratch array per parameter; `params` and `grads` are only
-    read. Only the names present in `params` move this step (round-robin
-    leaves other modalities' embedders and decoders untouched).
+    Building the state copies every parameter into ``params`` and points its
+    Tensor's ``data`` at its slice, so from then on the net's arrays are
+    views of the buffer and a step updates them in place. A section is a run
+    of adjacent parameters that train together (the backbone, or one
+    modality's embedder or decoder; see ``_section_key``), so in canonical
+    order each is one contiguous span of every buffer.
     """
+
+    def __init__(self, params: dict[str, Tensor]):
+        dtypes = {t.data.dtype for t in params.values()}
+        if len(dtypes) != 1:
+            raise ValueError(f"parameters need one dtype, got {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        total = sum(t.size for t in params.values())
+        self.params = np.empty(total, dtype=dtype)
+        self.grads = np.empty(total, dtype=dtype)
+        self.m = np.zeros(total, dtype=dtype)
+        self.v = np.zeros(total, dtype=dtype)
+        self.step = 0
+        self.sections: list[_Section] = []
+        off = 0
+        for key, group in groupby(params.items(), key=lambda item: _section_key(item[0])):
+            start, members = off, []
+            for name, t in group:
+                end = off + t.size
+                self.params[off:end] = t.data.reshape(-1)
+                t.data = self.params[off:end].reshape(t.shape)
+                members.append((name, t, self.grads[off:end].reshape(t.shape)))
+                off = end
+            self.sections.append(_Section(key, slice(start, off), members))
+        widest = max(s.span.stop - s.span.start for s in self.sections)
+        self.scratch = (np.empty(widest, dtype=dtype), np.empty(widest, dtype=dtype))
+
+
+def optimizer_step(state: OptimizerState, lr: float, weight_decay: float) -> None:
+    """One decoupled update, in place, of every section that received a gradient.
+
+    A section updates as a whole: its gradients are copied into the flat
+    gradient buffer and cleared from their parameters, then the textbook
+    update runs once over the section's span, writing only into the two
+    scratch buffers the state keeps. A parameter without a gradient in a
+    section that has one raises before anything moves; updating it would
+    decay it and move it by its stale moments. Sections without any gradient
+    (round robin leaves the other modalities' embedders and decoders alone)
+    keep their parameters and moments.
+    """
+    touched = [s for s in state.sections if any(t.grad is not None for _, t, _ in s.members)]
+    for section in touched:
+        for name, t, _ in section.members:
+            if t.grad is None:
+                raise ValueError(f"{name}: no gradient, yet section {section.key} is updated")
+            if t.grad.shape != t.shape:
+                raise ValueError(f"{name}: grad shape {t.grad.shape} != param shape {t.shape}")
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        v = state.v[name]
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    for section in touched:
+        for _, t, grad in section.members:
+            np.copyto(grad, t.grad)
+            t.grad = None
+        span = section.span
+        p, g, m, v = state.params[span], state.grads[span], state.m[span], state.v[span]
+        a, b = (buf[: p.size] for buf in state.scratch)
         # the textbook expressions, operand for operand:
         #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
-        #   new = p - lr * ((m / bc1) / (sqrt(v / bc2) + eps)) - (lr * wd) * p
-        scratch = np.multiply(g, 1.0 - ADAM_BETA1, out=np.empty_like(p))
+        #   p = p - lr * ((m / bc1) / (sqrt(v / bc2) + eps)) - (lr * wd) * p
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m *= ADAM_BETA1
-        m += scratch
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - ADAM_BETA2
+        m += a
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
         v *= ADAM_BETA2
-        v += scratch
-        np.divide(v, bc2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        new = np.divide(m, bc1, out=np.empty_like(p))
-        new /= scratch
-        new *= lr
-        np.subtract(p, new, out=new)
-        np.multiply(p, lr * weight_decay, out=scratch)
-        new -= scratch
-        out[name] = new
-    return out
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, bc1, out=b)
+        b /= a
+        b *= lr
+        np.multiply(p, lr * weight_decay, out=a)
+        p -= b
+        p -= a
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -195,7 +244,7 @@ def pretrain(
 
     steps_per_mod = config.samples_per_modality // config.batch_size
     total_steps = config.epochs * steps_per_mod * len(config.modalities)
-    state = OptimizerState()
+    state = OptimizerState(net.params)
     log_lines: list[str] = []
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -252,12 +301,5 @@ def _train_step(
             f"non-finite loss {loss} at global step {global_step} (modality {modality})"
         )
 
-    touched = {
-        name: t for name, t in named_parameters(net) if t.grad is not None
-    }
-    params = {name: t.data for name, t in touched.items()}
-    grads = {name: t.grad for name, t in touched.items()}
-    updated = optimizer_step(params, grads, state, lr, config.weight_decay)
-    for name, t in touched.items():
-        t.data, t.grad = updated[name], None
+    optimizer_step(state, lr, config.weight_decay)
     return loss

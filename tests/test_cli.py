@@ -120,6 +120,25 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
     assert "backbone.block0.attn.wq" in inspect_out
     assert "embedder.sentinel1.weight" in inspect_out
     assert "seed = 3" in inspect_out
+    # one row per tensor: shape, size, the mean, std, min and max of its
+    # finite values, and the count of the others
+    tensors = ckpt.read_checkpoint(final).tensors
+    tensors["decoder.naip.mask_token"][[1, 4, 5]] = [np.nan, np.inf, -np.inf]
+    tensors["backbone.norm.beta"][:] = 0.25
+    tampered = tmp_path / "tampered.ofac"
+    ckpt.write_checkpoint(tampered, ckpt.read_checkpoint(final).config_text, tensors.items())
+    assert main(["inspect", "--checkpoint", str(tampered)]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ") and line.split()[0] in tensors}
+    assert list(rows) == list(tensors)
+    for name, arr in tensors.items():
+        shape, size, *stats, nonfinite = rows[name]
+        assert (shape, int(size)) == ("x".join(map(str, arr.shape)), arr.size)
+        assert int(nonfinite) == (3 if name == "decoder.naip.mask_token" else 0)
+        want = arr[np.isfinite(arr)].astype(np.float64)
+        assert [float(x) for x in stats] == pytest.approx([want.mean(), want.std(), want.min(), want.max()],
+                                                          rel=1e-5, abs=1e-12)
+    assert rows["backbone.norm.beta"][2:] == ["0.25", "0", "0.25", "0.25", "0"]
 
     assert main(["report", "--inputs", str(lines_file)]) == 0
     table = capsys.readouterr().out

@@ -317,6 +317,27 @@ def test_ofad_header_bit_flips_load_or_name_the_path(small_ofad_files):
                     pytest.fail(f"{kind} byte {at} bit {bit}: {type(exc).__name__}: {exc}")
 
 
+@pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
+@pytest.mark.parametrize("value, shown", [(1e20, "1e+20"), (-3.5, "-3.5")])
+def test_ofad_rejects_out_of_range_pixels_with_sample_index(small_ofad_files, kind, value, shown):
+    # finite, but outside the [-3, 3] the generator clamps to
+    full, where = small_ofad_files
+    loaded = sd.load_dataset(where / f"{kind}.ofad")
+    loaded.images[2, 5, 1, 1] = value
+    path = where / "out_of_range.ofad"
+    sd.save_dataset(path, loaded)
+    record = 4 * 8 * 8 * 2 + {"pretrain": 0, "cls": 2, "seg": 8 * 8}[kind]
+    at = _KIND_AT + 1 + 2 * record
+    message = f"{path}: sample 2 has pixel {shown} outside [-3, 3] at byte offset {at}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sd.load_dataset(path)
+    # the edges of the range load
+    loaded.images[2, 5, 1, 1] = sd.IMAGE_CLAMP
+    loaded.images[1, 0, 0, 0] = -sd.IMAGE_CLAMP
+    sd.save_dataset(path, loaded)
+    assert sd.load_dataset(path).images.tobytes() == loaded.images.tobytes()
+
+
 def test_ofad_empty_set_loads(tmp_path):
     path = tmp_path / "empty.ofad"
     sd.save_dataset(path, sd.LoadedDataset("sentinel1", np.zeros((0, 8, 8, 2), dtype=np.float32)))

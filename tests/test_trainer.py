@@ -1,10 +1,15 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ofanet import checkpoint as ckpt
 from ofanet import model as m
+from ofanet import ndtensor as ndt
 from ofanet import trainer
 from ofanet.modalities import ModalityRegistry, ModalitySpec, builtin_modalities, default_registry
+from ofanet.ndtensor import Tensor
 from ofanet.runconfig import TrainConfig
 from ofanet.synthdata import gen_pretrain_stream, resize_nearest, save_dataset, stack_samples
 from ofanet.trainer import OptimizerState, lr_at, optimizer_step, pretrain
@@ -56,42 +61,50 @@ def test_lr_at_rejects_out_of_range():
 # optimizer
 
 
+def flat_state(arrays):
+    """An OptimizerState over fresh parameters holding ``arrays`` (one dtype)."""
+    (dtype,) = {a.dtype for a in arrays.values()}
+    with ndt.dtype_mode(dtype):
+        params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
+    return OptimizerState(params), params
+
+
 def test_optimizer_zero_grad_zero_decay_is_fixed_point():
-    params = {"p": np.array([1.0, -2.0], dtype=np.float32)}
-    grads = {"p": np.zeros(2, dtype=np.float32)}
-    out = optimizer_step(params, grads, OptimizerState(), lr=0.1, weight_decay=0.0)
-    np.testing.assert_array_equal(out["p"], params["p"])
+    p0 = np.array([1.0, -2.0], dtype=np.float32)
+    state, params = flat_state({"p": p0})
+    params["p"].grad = np.zeros(2, dtype=np.float32)
+    optimizer_step(state, lr=0.1, weight_decay=0.0)
+    np.testing.assert_array_equal(params["p"].data, p0)
 
 
 def test_optimizer_first_step_bias_correction_cancels():
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([1.0])}
-    out = optimizer_step(params, grads, OptimizerState(), lr=0.1, weight_decay=0.0)
-    assert out["p"][0] == pytest.approx(0.9, abs=1e-6)
+    state, params = flat_state({"p": np.array([1.0])})
+    params["p"].grad = np.array([1.0])
+    optimizer_step(state, lr=0.1, weight_decay=0.0)
+    assert params["p"].data[0] == pytest.approx(0.9, abs=1e-6)
 
 
 def test_optimizer_decoupled_decay_shrinks():
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([0.0])}
+    state, params = flat_state({"p": np.array([1.0])})
+    params["p"].grad = np.array([0.0])
     lr, wd = 0.1, 0.5
-    out = optimizer_step(params, grads, OptimizerState(), lr=lr, weight_decay=wd)
-    assert out["p"][0] == pytest.approx(1.0 * (1.0 - lr * wd))
+    optimizer_step(state, lr=lr, weight_decay=wd)
+    assert params["p"].data[0] == pytest.approx(1.0 * (1.0 - lr * wd))
 
 
 def test_optimizer_shape_mismatch_rejected():
+    state, params = flat_state({"p": np.zeros(3)})
+    params["p"].grad = np.zeros(2)
     with pytest.raises(ValueError, match="shape"):
-        optimizer_step(
-            {"p": np.zeros(3)}, {"p": np.zeros(2)}, OptimizerState(), 0.1, 0.0
-        )
+        optimizer_step(state, 0.1, 0.0)
 
 
 def test_optimizer_step_counter_strictly_increases():
-    state = OptimizerState()
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([0.5])}
+    state, params = flat_state({"p": np.array([1.0])})
     seen = []
     for _ in range(3):
-        params = optimizer_step(params, grads, state, 0.01, 0.0)
+        params["p"].grad = np.array([0.5])
+        optimizer_step(state, 0.01, 0.0)
         seen.append(state.step)
     assert seen == [1, 2, 3]
 
@@ -123,35 +136,58 @@ def _optimizer_step_reference(params, grads, state, lr, weight_decay):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_optimizer_step_in_place_moments_match_textbook_bytes(dtype):
     rng = np.random.default_rng(67)
-    shapes = {"w": (48, 40), "b": (40,), "s": (), "t": (2, 3, 8, 4)}
+    # four sections in table order, with 0-d, 1-d, 2-d and 4-d parameters;
+    # embedder.b never gets a gradient
+    shapes = {
+        "embedder.a.w": (48, 40), "embedder.a.b": (40,),
+        "embedder.b.w": (5, 3),
+        "backbone.s": (), "backbone.t": (2, 3, 8, 4), "backbone.b": (40,),
+        "decoder.a.w": (40, 6), "decoder.a.s": (),
+    }
+    offsets = dict(zip(shapes, np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])))
 
-    def arrays(scale):
+    def arrays(names, scale):
         # read-only, so that any write into them raises
-        out = {n: np.array(rng.normal(size=s) * scale, dtype=dtype) for n, s in shapes.items()}
+        out = {n: np.array(rng.normal(size=shapes[n]) * scale, dtype=dtype) for n in names}
         for a in out.values():
             a.flags.writeable = False
         return out
 
-    params = arrays(1.0)
-    ref_params = dict(params)
-    state, ref_state = OptimizerState(), OptimizerState()
-    # the last step's large lr and decay make every rounding of the decay
-    # term show in the new parameter
-    for step, (lr, wd) in enumerate([(1e-3, 0.05), (3e-4, 0.0), (0.3, 0.7)]):
-        grads = arrays(10.0 ** -step)
-        snaps = {n: (params[n].tobytes(), grads[n].tobytes()) for n in shapes}
-        new = optimizer_step(params, grads, state, lr, wd)
-        ref = _optimizer_step_reference(ref_params, grads, ref_state, lr, wd)
+    def flat_view(buf, n):
+        return buf[offsets[n] : offsets[n] + int(np.prod(shapes[n]))].reshape(shapes[n])
+
+    ref_params = arrays(shapes, 1.0)
+    state, params = flat_state(ref_params)
+    datas = {n: t.data for n, t in params.items()}
+    ref_state = SimpleNamespace(m={}, v={}, step=0)
+    # steps touch every trained section, the backbone alone, then both
+    # modality sections; the last step's large lr and decay make every
+    # rounding of the decay term show in the new parameter
+    schedule = [
+        (("embedder.a", "backbone", "decoder.a"), 1e-3, 0.05),
+        (("backbone",), 3e-4, 0.0),
+        (("embedder.a", "decoder.a"), 0.3, 0.7),
+    ]
+    for step, (sections, lr, wd) in enumerate(schedule):
+        names = [n for n in shapes if n.startswith(tuple(f"{s}." for s in sections))]
+        grads = arrays(names, 10.0 ** -step)
+        for n in names:
+            params[n].grad = grads[n]
+        snaps = {n: grads[n].tobytes() for n in names}
+        optimizer_step(state, lr, wd)
+        ref = _optimizer_step_reference({n: ref_params[n] for n in names}, grads, ref_state, lr, wd)
+        ref_params.update(ref)
         for n in shapes:
-            assert (params[n].tobytes(), grads[n].tobytes()) == snaps[n]
-            for got, want in ((new[n], ref[n]), (state.m[n], ref_state.m[n]),
-                              (state.v[n], ref_state.v[n])):
+            t = params[n]
+            assert t.data is datas[n] and np.shares_memory(t.data, state.params)
+            assert t.grad is None
+            for got, want in ((t.data, ref_params[n]),
+                              (flat_view(state.m, n), ref_state.m.get(n, np.zeros(shapes[n], dtype))),
+                              (flat_view(state.v, n), ref_state.v.get(n, np.zeros(shapes[n], dtype)))):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-            assert new[n] is not params[n]
-        params, ref_params = new, ref
-        for a in params.values():
-            a.flags.writeable = False
+        for n in names:
+            assert grads[n].tobytes() == snaps[n]
     assert state.step == ref_state.step == 3
 
 
@@ -181,15 +217,23 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
-def test_train_step_updates_parameters_in_place():
+def tiny_step_setup():
     cfg = tiny_config()
     specs = [default_registry().lookup(mid) for mid in cfg.modalities]
     net = m.build_ofanet(cfg.model_dims(), specs, cfg.seed)
     images = np.stack([s.image for s in gen_pretrain_stream(specs[0], 5, 4, size=cfg.input_size)])
-    patches = m.patchify(images, cfg.patch_size)
+    return cfg, net, m.patchify(images, cfg.patch_size)
+
+
+def test_train_step_updates_parameters_in_place():
+    cfg, net, patches = tiny_step_setup()
     before = dict(m.named_parameters(net))
+    values_before = {name: t.data.copy() for name, t in before.items()}
+    state = OptimizerState(net.params)
     data_before = {name: t.data for name, t in before.items()}
-    state = OptimizerState()
+    for name, t in before.items():
+        assert np.shares_memory(t.data, state.params)
+        assert t.data.tobytes() == values_before[name].tobytes()
     for step in range(2):
         trainer._train_step(net, patches, np.arange(len(patches)), "sentinel1", cfg, state, 1e-3, step)
         after = dict(m.named_parameters(net))
@@ -197,14 +241,32 @@ def test_train_step_updates_parameters_in_place():
         for name, t in after.items():
             assert t is before[name]
             assert t.grad is None
+            assert t.data is data_before[name] and np.shares_memory(t.data, state.params)
     touched = {name for name in before if not name.startswith(("embedder.naip", "decoder.naip"))}
-    assert set(state.m) == touched
+    off = 0
     for name, t in before.items():
+        moments = state.m[off : off + t.size], state.v[off : off + t.size]
+        off += t.size
         if name in touched:
-            assert t.data is not data_before[name]
+            assert all(mom.any() for mom in moments)
         else:
-            assert t.data is data_before[name]
-    assert not np.array_equal(before["backbone.block0.attn.wq"].data, data_before["backbone.block0.attn.wq"])
+            assert t.data.tobytes() == values_before[name].tobytes()
+            assert not any(mom.any() for mom in moments)
+    assert not np.array_equal(before["backbone.block0.attn.wq"].data, values_before["backbone.block0.attn.wq"])
+
+
+def test_train_step_rejects_a_trained_section_missing_a_gradient():
+    # the backbone trains, but one of its parameters gets no gradient:
+    # updating the section anyway would decay that parameter
+    cfg, net, patches = tiny_step_setup()
+    state = OptimizerState(net.params)
+    net.params["backbone.norm.beta"].requires_grad = False
+    flat = state.params.copy()
+    with pytest.raises(ValueError, match=r"backbone\.norm\.beta: no gradient, yet section backbone is updated"):
+        trainer._train_step(net, patches, np.arange(len(patches)), "sentinel1", cfg, state, 1e-3, 0)
+    assert state.step == 0
+    assert state.params.tobytes() == flat.tobytes()
+    assert not state.m.any() and not state.v.any()
 
 
 def test_round_robin_schedule_five_modalities():
@@ -367,17 +429,24 @@ def test_streams_are_patch_rows_of_the_resized_images(tmp_path):
         assert streams[spec.id].tobytes() == want.tobytes()
 
 
-def test_pretrain_stops_on_non_finite_loss(tmp_path):
+def test_pretrain_stops_on_non_finite_loss():
+    # no warmup at this size: step 0 (sentinel1) moves the backbone by about
+    # base_lr, and the first naip batch overflows the float32 forward
+    with pytest.raises(FloatingPointError, match=r"non-finite loss nan at global step 1 \(modality naip\)"):
+        pretrain(tiny_config(base_lr=1e30))
+
+
+def test_pretrain_file_backed_rejects_out_of_range_pixels(tmp_path):
+    # a finite pixel far outside the generator's range, which would train
+    # on with losses up to 1e74
     reg = default_registry()
     for mid in ("sentinel1", "naip"):
         ds = stack_samples(mid, gen_pretrain_stream(reg.lookup(mid), 11, 32, size=16))
         if mid == "naip":
-            # finite, so the reader takes it, but one patch per image of it
-            # overflows the float32 forward
-            ds.images[:, :4, :4, 0] = np.finfo(np.float32).max
+            ds.images[3, 2, 1, 0] = 1e20
         save_dataset(tmp_path / f"pretrain_{mid}.ofad", ds)
-    # round robin: step 0 is sentinel1, step 1 the first naip batch
-    with pytest.raises(FloatingPointError, match=r"non-finite loss nan at global step 1 \(modality naip\)"):
+    path = tmp_path / "pretrain_naip.ofad"
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: sample 3 has pixel 1e\+20 outside \[-3, 3\] at byte offset \d+$"):
         pretrain(tiny_config(data_dir=str(tmp_path)))
 
 
