@@ -7,7 +7,8 @@ are rebuilt from the config at load time and never stored.
 
 A checkpoint describes itself: its config text is the canonical
 serialization of the config its net was built from, and `load_net` rebuilds
-the net, `[modality.*]` overrides included, from that text alone.
+the net, `[modality.*]` overrides included, from that text alone, then
+copies each tensor into its slice of the net's flat parameter buffer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import runconfig
 from .binread import BinaryReader, atomic_write
-from .model import OfaNet, named_parameters, rebind_parameters
+from .model import OfaNet
 
 _MAGIC = b"OFAC"
 _VERSION = 1
@@ -60,7 +61,7 @@ def write_checkpoint(path: str | Path, config_text: str, tensors) -> None:
 
 
 def save_net(path: str | Path, net: OfaNet, config_text: str) -> None:
-    write_checkpoint(path, config_text, ((n, t.data) for n, t in named_parameters(net)))
+    write_checkpoint(path, config_text, ((n, t.data) for n, t in net.params.items()))
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
@@ -96,7 +97,13 @@ def load_net(path: str | Path) -> tuple[OfaNet, runconfig.RunConfig]:
     try:
         cfg = runconfig.parse_config(ckpt.config_text)
         net = cfg.build_net()
-        rebind_parameters(net, ckpt.tensors)
+        if offending := sorted(set(net.params) ^ set(ckpt.tensors)):
+            raise ValueError(f"parameter set mismatch, offending names: {offending[:5]}")
+        for name, arr in ckpt.tensors.items():
+            t = net.params[name]
+            if t.shape != arr.shape:
+                raise ValueError(f"parameter {name} has shape {t.shape}, got {arr.shape}")
+            np.copyto(t.data, arr)
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from exc
     return net, cfg

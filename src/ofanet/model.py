@@ -4,11 +4,13 @@ Transformer backbone, per-modality masked-autoencoder decoders.
 The net is one parameter table, ``OfaNet.params``: name -> Tensor in
 canonical order, which is also the checkpoint order. Embedders come first
 (``embedder.<m>.*``, modality ids sorted), then the shared backbone
-(``backbone.*``), then the decoders (``decoder.<m>.*``, ids sorted).
-``_layout`` spells every name once; the forward stages take a section of the
-table by name prefix and unpack it in layout order. Anything per-modality
-lives strictly under an embedder or decoder name; the two sin-cos tables
-are fixed and shared.
+(``backbone.*``), then the decoders (``decoder.<m>.*``, ids sorted). Each
+tensor's array is a view of its slice of one flat buffer, ``OfaNet.flat``, in
+that order; a checkpoint load fills it and an optimizer step updates it in
+place. ``_layout`` spells every name once; the forward stages take a
+section of the table by name prefix and unpack it in layout order. Anything
+per-modality lives strictly under an embedder or decoder name; the two
+sin-cos tables are fixed and shared.
 
 There is one forward path, and it is batched: every stage takes [b, ...]
 arrays, and a single image is a batch of 1. Training works on patch rows:
@@ -179,6 +181,7 @@ class OfaNet:
     dims: ModelDims
     channels: dict[str, int]  # modality id -> bands
     params: dict[str, Tensor]  # canonical order, see _layout
+    flat: np.ndarray  # every parameter, in params order; each one's data is its slice
     backbone_pos: Tensor  # fixed [n, d], requires_grad False
     decoder_pos: Tensor  # fixed [n, d_dec], shared by every decoder
 
@@ -206,19 +209,17 @@ def _weight_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _init_param(seed: int, name: str, shape, kind: str) -> Tensor:
+def _init_values(seed: int, name: str, shape, kind: str) -> np.ndarray | float:
     rng = generator("init", seed, name)
     if kind == "weight":
-        data = _weight_uniform(rng, shape)
-    elif kind == "zeros":
-        data = np.zeros(shape)
-    elif kind == "ones":
-        data = np.ones(shape)
-    elif kind == "token":
-        data = rng.normal(0.0, MASK_TOKEN_STD, shape)
-    else:
-        raise ValueError(f"unknown init kind {kind!r}")
-    return Tensor(np.asarray(data, dtype=ndt.default_dtype()), requires_grad=True)
+        return _weight_uniform(rng, shape)
+    if kind == "zeros":
+        return 0.0
+    if kind == "ones":
+        return 1.0
+    if kind == "token":
+        return rng.normal(0.0, MASK_TOKEN_STD, shape)
+    raise ValueError(f"unknown init kind {kind!r}")
 
 
 def build_ofanet(dims: ModelDims, specs: list[ModalitySpec], seed: int) -> OfaNet:
@@ -229,14 +230,20 @@ def build_ofanet(dims: ModelDims, specs: list[ModalitySpec], seed: int) -> OfaNe
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate modalities in build list: {ids}")
     channels = {s.id: s.channels for s in sorted(specs, key=lambda s: s.id)}
-    params = {
-        name: _init_param(seed, name, shape, kind) for name, shape, kind in _layout(dims, channels)
-    }
+    layout = list(_layout(dims, channels))
+    flat = np.empty(sum(math.prod(shape) for _, shape, _ in layout), dtype=ndt.default_dtype())
+    params, off = {}, 0
+    for name, shape, kind in layout:
+        view = flat[off : off + math.prod(shape)].reshape(shape)
+        view[...] = _init_values(seed, name, shape, kind)
+        params[name] = Tensor(view, requires_grad=True)
+        off += view.size
     gh, gw = dims.grid
     return OfaNet(
         dims=dims,
         channels=channels,
         params=params,
+        flat=flat,
         backbone_pos=Tensor(sincos_pos_table(gh, gw, dims.embed_dim)),
         decoder_pos=Tensor(sincos_pos_table(gh, gw, dims.decoder_embed_dim)),
     )
@@ -250,22 +257,8 @@ def named_parameters(net: OfaNet) -> list[tuple[str, Tensor]]:
     return list(net.params.items())
 
 
-def rebind_parameters(net: OfaNet, arrays: dict[str, np.ndarray]) -> None:
-    """Replace every parameter with a fresh tensor over the given arrays
-    (checkpoint load). The names must cover the net exactly and each shape
-    must match; training steps update parameters in place instead."""
-    if set(net.params) != set(arrays):
-        missing = sorted(set(net.params) ^ set(arrays))
-        raise ValueError(f"parameter set mismatch, offending names: {missing[:5]}")
-    for name, arr in arrays.items():
-        current = net.params[name]
-        if current.shape != tuple(arr.shape):
-            raise ValueError(f"parameter {name} has shape {current.shape}, got {arr.shape}")
-        net.params[name] = Tensor(arr, requires_grad=True)
-
-
 def parameter_count(net: OfaNet) -> int:
-    return sum(t.size for _, t in named_parameters(net))
+    return sum(t.size for t in net.params.values())
 
 
 def expected_parameter_count(dims: ModelDims, channel_counts: list[int]) -> int:
@@ -292,7 +285,7 @@ def expected_parameter_count(dims: ModelDims, channel_counts: list[int]) -> int:
 def param_hash(net: OfaNet, prefix: str = "") -> str:
     """sha256 over (name, bytes) of parameters matching prefix, sorted order."""
     h = hashlib.sha256()
-    for name, tensor in named_parameters(net):
+    for name, tensor in net.params.items():
         if name.startswith(prefix):
             h.update(name.encode())
             h.update(np.ascontiguousarray(tensor.data).tobytes())

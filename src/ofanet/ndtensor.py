@@ -24,9 +24,10 @@ operations and their order, so the bytes are the same. Outputs are fresh
 contiguous arrays. Every op whose result requires grad is recorded on a
 module-level tape; calling ``backward(loss)`` walks the tape once in
 reverse, accumulates ``.grad`` on the leaves that require grad (tensors no
-recorded op produced, such as parameters), and clears the tape.
-Intermediate results never get a ``.grad``. ``no_grad`` switches recording
-off for the calling thread only.
+recorded op produced, such as parameters), and clears the tape. A leaf's
+``.grad`` is the array backward computed for it, not a copy (``add`` may give
+two leaves one array), and nothing writes into it. Intermediate results never
+get a ``.grad``. ``no_grad`` switches recording off for the calling thread only.
 
 Training runs in float32, except that ``mse`` accumulates and returns its
 scalar loss in float64 (its gradient is in the prediction's dtype).
@@ -463,6 +464,6 @@ def backward(loss: Tensor) -> None:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # every grad_fn returns its parent's shape
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad = t.grad + g

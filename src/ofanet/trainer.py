@@ -12,11 +12,11 @@ the visible rows to embed and the masked rows as targets.
 
 A step trains three blocks of the parameter table: the modality's
 embedder, the shared backbone and the modality's decoder. The optimizer
-holds every parameter, both moments and the gradients in flat buffers of
-the table's (checkpoint) order, where each block is one contiguous span, and
-the parameters' arrays are views of that buffer. So a step updates three
-spans in place and allocates no parameter array; the other modalities'
-blocks, and their moments, stay as they are.
+adopts the net's own flat parameter buffer, in the table's (checkpoint) order
+where each block is one contiguous span, and keeps the gradients and both
+moments in flat buffers of that order. So a step copies each trained
+gradient once, into the gradient buffer, and updates three spans in place;
+the other modalities' blocks, and their moments, stay as they are.
 
 Every source of randomness (data, shuffles, masks, init) is a derived
 counter seed, so identical config+seed reproduces the loss log and the
@@ -71,38 +71,34 @@ class OptimizerState:
     """Adam moments, a gradient buffer and the parameters themselves, each one
     flat array in the order of the parameter table.
 
-    Building the state copies every parameter into ``params`` and points its
-    Tensor's ``data`` at its slice, so from then on the net's arrays are
-    views of the buffer and a step updates them in place. A section is a run
+    ``params`` is the net's own buffer, ``net.flat``, not a copy: the net's
+    arrays are views of it, so a step updates them in place. A parameter
+    whose array is not its slice (its ``data`` reassigned, say) raises, as a
+    step would train an array the forward no longer reads. A section is a run
     of adjacent parameters that train together (the backbone, or one
     modality's embedder or decoder; see ``_section_key``), so in canonical
     order each is one contiguous span of every buffer.
     """
 
-    def __init__(self, params: dict[str, Tensor]):
-        dtypes = {t.data.dtype for t in params.values()}
-        if len(dtypes) != 1:
-            raise ValueError(f"parameters need one dtype, got {sorted(map(str, dtypes))}")
-        (dtype,) = dtypes
-        total = sum(t.size for t in params.values())
-        self.params = np.empty(total, dtype=dtype)
-        self.grads = np.empty(total, dtype=dtype)
-        self.m = np.zeros(total, dtype=dtype)
-        self.v = np.zeros(total, dtype=dtype)
+    def __init__(self, net: OfaNet):
+        self.params = net.flat
+        self.grads = np.empty_like(net.flat)
+        self.m = np.zeros(net.flat.shape, dtype=net.flat.dtype)
+        self.v = np.zeros(net.flat.shape, dtype=net.flat.dtype)
         self.step = 0
         self.sections: list[_Section] = []
         off = 0
-        for key, group in groupby(params.items(), key=lambda item: _section_key(item[0])):
+        for key, group in groupby(net.params.items(), key=lambda item: _section_key(item[0])):
             start, members = off, []
             for name, t in group:
                 end = off + t.size
-                self.params[off:end] = t.data.reshape(-1)
-                t.data = self.params[off:end].reshape(t.shape)
+                if t.data.base is not net.flat or t.data.ctypes.data != net.flat[off:end].ctypes.data:
+                    raise ValueError(f"{name}: its array is not its slice of the net's flat buffer")
                 members.append((name, t, self.grads[off:end].reshape(t.shape)))
                 off = end
             self.sections.append(_Section(key, slice(start, off), members))
         widest = max(s.span.stop - s.span.start for s in self.sections)
-        self.scratch = (np.empty(widest, dtype=dtype), np.empty(widest, dtype=dtype))
+        self.scratch = (np.empty(widest, net.flat.dtype), np.empty(widest, net.flat.dtype))
 
 
 def optimizer_step(state: OptimizerState, lr: float, weight_decay: float) -> None:
@@ -244,7 +240,7 @@ def pretrain(
 
     steps_per_mod = config.samples_per_modality // config.batch_size
     total_steps = config.epochs * steps_per_mod * len(config.modalities)
-    state = OptimizerState(net.params)
+    state = OptimizerState(net)
     log_lines: list[str] = []
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

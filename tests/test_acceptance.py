@@ -99,11 +99,11 @@ def _backbone_transplant(donor_path, train_cfg=DESK):
     single-modality baseline probed on modalities it never saw."""
     net = m.build_ofanet(train_cfg.model_dims(), builtin_modalities(), train_cfg.seed)
     donor = ckpt.read_checkpoint(donor_path)
-    arrays = {
-        name: donor.tensors[name] if name.startswith("backbone.") else t.data
-        for name, t in m.named_parameters(net)
-    }
-    m.rebind_parameters(net, arrays)
+    for name, t in net.params.items():
+        if name.startswith("backbone."):
+            arr = donor.tensors[name]
+            assert arr.shape == t.shape, name
+            np.copyto(t.data, arr)
     return net
 
 

@@ -527,15 +527,45 @@ def test_init_independent_of_modality_order():
         np.testing.assert_array_equal(ta.data, tb.data)
 
 
-def test_rebind_parameters_validate():
-    net = build_net()
-    full = {name: t.data for name, t in m.named_parameters(net)}
-    with pytest.raises(ValueError, match="block9"):
-        m.rebind_parameters(net, {**full, "backbone.block9.attn.wq": np.zeros((64, 64))})
-    with pytest.raises(ValueError, match="shape"):
-        m.rebind_parameters(net, {**full, "backbone.block0.attn.wq": np.zeros((2, 2))})
-    with pytest.raises(ValueError, match="mismatch"):
-        m.rebind_parameters(net, {"backbone.norm.gamma": np.ones(64, dtype=np.float32)})
+def test_load_net_rejects_tensors_that_do_not_fit_the_net(tmp_path):
+    # an extra name, a wrong shape, a missing name: each raises naming the path
+    from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
+
+    cfg = RunConfig(train=TrainConfig(modalities=("sentinel1",)))
+    net = cfg.build_net()
+    full = {name: t.data for name, t in net.params.items()}
+    cases = [
+        ({**full, "backbone.block9.attn.wq": np.zeros((64, 64))}, "block9"),
+        ({**full, "backbone.block0.attn.wq": np.zeros((2, 2))}, "shape"),
+        ({"backbone.norm.gamma": np.ones(64, dtype=np.float32)}, "mismatch"),
+    ]
+    for i, (tensors, what) in enumerate(cases):
+        path = tmp_path / f"unfit{i}.ofac"
+        ckpt.write_checkpoint(path, serialize_config(cfg), tensors.items())
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ") + f".*{what}"):
+            ckpt.load_net(path)
+
+
+def test_build_and_load_make_every_parameter_its_slice_of_flat(tmp_path):
+    from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
+
+    cfg = RunConfig(train=TrainConfig(input_size=8, embed_dim=8, depth=1, heads=2, decoder_embed_dim=4,
+                                      decoder_depth=1, modalities=("sentinel1", "naip")))
+    built = cfg.build_net()
+    built.flat += 0.01  # away from init, so a load that only rebuilt would differ
+    path = tmp_path / "net.ofac"
+    ckpt.save_net(path, built, serialize_config(cfg))
+    tensors = ckpt.read_checkpoint(path).tensors
+    loaded, _ = ckpt.load_net(path)
+    for net in (built, loaded):
+        assert list(net.params) == list(tensors)
+        off = 0
+        for name, t in net.params.items():
+            assert t.data.base is net.flat, name
+            assert t.data.ctypes.data == net.flat[off:].ctypes.data, name
+            off += t.size
+        assert off == net.flat.size
+        assert net.flat.tobytes() == b"".join(a.tobytes() for a in tensors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +640,7 @@ def test_checkpoint_load_restores_forward_bitwise(tmp_path):
     cfg = TrainConfig(modalities=("sentinel1", "naip"), seed=7)
     net = m.build_ofanet(cfg.model_dims(), [REG.lookup(x) for x in cfg.modalities], cfg.seed)
     # drift the weights away from init so the test cannot pass by rebuilding
-    m.rebind_parameters(net, {name: t.data + 0.01 for name, t in m.named_parameters(net)})
+    net.flat += 0.01
     path = tmp_path / "net.ofac"
     ckpt.save_net(path, net, serialize_config(RunConfig(train=cfg)))
 

@@ -62,11 +62,16 @@ def test_lr_at_rejects_out_of_range():
 
 
 def flat_state(arrays):
-    """An OptimizerState over fresh parameters holding ``arrays`` (one dtype)."""
+    """An OptimizerState over a net whose flat buffer holds ``arrays`` (one
+    dtype) in order, each parameter a view of its slice."""
     (dtype,) = {a.dtype for a in arrays.values()}
+    flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
+    params, off = {}, 0
     with ndt.dtype_mode(dtype):
-        params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
-    return OptimizerState(params), params
+        for n, a in arrays.items():
+            params[n] = Tensor(flat[off : off + a.size].reshape(a.shape), requires_grad=True)
+            off += a.size
+    return OptimizerState(SimpleNamespace(flat=flat, params=params)), params
 
 
 def test_optimizer_zero_grad_zero_decay_is_fixed_point():
@@ -229,7 +234,8 @@ def test_train_step_updates_parameters_in_place():
     cfg, net, patches = tiny_step_setup()
     before = dict(m.named_parameters(net))
     values_before = {name: t.data.copy() for name, t in before.items()}
-    state = OptimizerState(net.params)
+    state = OptimizerState(net)
+    assert state.params is net.flat
     data_before = {name: t.data for name, t in before.items()}
     for name, t in before.items():
         assert np.shares_memory(t.data, state.params)
@@ -259,7 +265,7 @@ def test_train_step_rejects_a_trained_section_missing_a_gradient():
     # the backbone trains, but one of its parameters gets no gradient:
     # updating the section anyway would decay that parameter
     cfg, net, patches = tiny_step_setup()
-    state = OptimizerState(net.params)
+    state = OptimizerState(net)
     net.params["backbone.norm.beta"].requires_grad = False
     flat = state.params.copy()
     with pytest.raises(ValueError, match=r"backbone\.norm\.beta: no gradient, yet section backbone is updated"):
@@ -267,6 +273,15 @@ def test_train_step_rejects_a_trained_section_missing_a_gradient():
     assert state.step == 0
     assert state.params.tobytes() == flat.tobytes()
     assert not state.m.any() and not state.v.any()
+
+
+def test_optimizer_state_rejects_a_parameter_off_the_flat_buffer():
+    # a step would train the buffer while the forward reads the copy
+    _, net, _ = tiny_step_setup()
+    t = net.params["backbone.block0.attn.wq"]
+    t.data = t.data.copy()
+    with pytest.raises(ValueError, match=r"^backbone\.block0\.attn\.wq: .*flat buffer"):
+        OptimizerState(net)
 
 
 def test_round_robin_schedule_five_modalities():
