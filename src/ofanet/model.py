@@ -24,9 +24,14 @@ embed (at every position) and encode stages off-tape for frozen feature
 extraction; ``forward_features`` mean-pools the tokens in numpy. A block's
 attention is its q/k/v projections (``linear``, ``matmul``), one
 ``ndtensor.attention`` node and the output ``linear``; every ``matmul``
-multiplies a stacked input by a weight matrix. The decoder hands
-``ndtensor.gather_rows_batch`` two mask splits: the permutation that puts
-every row back in place, then the masked rows for the head.
+multiplies a stacked input by a weight matrix. The decoder cross-attends
+(CrossMAE, arXiv 2401.14391): one query per masked row, the mask token
+plus that row's decoder position, attends to the projected visible latents
+plus theirs, which each block normalizes with the queries' ``ln1``; the
+MLP, the final norm and the head see the query rows alone. The decoder
+hands ``ndtensor.gather_rows_batch`` two mask splits, the visible rows then
+the masked ones, as one index into the positional table, so a repeated
+row raises; so does a split of another size than n.
 """
 
 from __future__ import annotations
@@ -300,22 +305,24 @@ def backbone_hash(net: OfaNet) -> str:
 # forward pieces
 
 
-def _attention(x: Tensor, attn: list[Tensor], heads: int) -> Tensor:
-    """Multi-head self-attention over (..., n, d); heads split the last axis."""
+def _attention(x: Tensor, context: Tensor, attn: list[Tensor], heads: int) -> Tensor:
+    """Multi-head attention of (..., nq, d) rows over (..., nk, d) context."""
     wq, bq, wk, wv, bv, wo, bo = attn
     q = ndt.linear(x, wq, bq)
-    k = ndt.matmul(x, wk)
-    v = ndt.linear(x, wv, bv)
+    k = ndt.matmul(context, wk)
+    v = ndt.linear(context, wv, bv)
     return ndt.linear(ndt.attention(q, k, v, heads), wo, bo)
 
 
-def _stack_forward(x: Tensor, stack: list[Tensor], heads: int) -> Tensor:
+def _stack_forward(x: Tensor, stack: list[Tensor], heads: int, context: Tensor | None = None) -> Tensor:
     """The blocks of one Transformer stack, given their tensors in _BLOCK
-    order; returns the hidden state before the final norm."""
+    order; returns the hidden state before the final norm. The rows attend
+    to themselves, or to a context that each block normalizes with its ln1."""
     for i in range(0, len(stack), len(_BLOCK)):
         ln1_g, ln1_b, *attn, ln2_g, ln2_b, w1, b1, w2, b2 = stack[i : i + len(_BLOCK)]
         h = ndt.layernorm(x, ln1_g, ln1_b)
-        x = ndt.add(x, _attention(h, attn, heads))
+        c = h if context is None else ndt.layernorm(context, ln1_g, ln1_b)
+        x = ndt.add(x, _attention(h, c, attn, heads))
         h = ndt.layernorm(x, ln2_g, ln2_b)
         h = ndt.linear(ndt.gelu(ndt.linear(h, w1, b1)), w2, b2)
         x = ndt.add(x, h)
@@ -362,21 +369,20 @@ def decode_tokens(
     net: OfaNet, latent: Tensor, masked: np.ndarray, visible: np.ndarray, modality: str
 ) -> Tensor:
     """Reconstruction [b, m, p*p*c] of the masked rows from visible latents
-    [b, k, d]: mask tokens fill the masked rows, every row is put back in
-    place for the decoder blocks, and the head reads the masked rows alone."""
+    [b, k, d]: one query per masked row, the mask token at that row's
+    position, attends to the projected latents at theirs."""
     decoder = _section(net, f"decoder.{modality}")
     if not decoder:
         raise KeyError(f"no decoder for modality {modality!r}")
     proj_w, proj_b, mask_token, *blocks, norm_g, norm_b, head_w, head_b = decoder
-    b, m = masked.shape
-    dd = mask_token.shape[0]
-    restore = np.argsort(np.concatenate([visible, masked], axis=1), axis=1).astype(np.intp)
-    lat = ndt.linear(latent, proj_w, proj_b)
-    tile = ndt.add(Tensor(np.zeros((b, m, dd))), mask_token)
-    full = ndt.gather_rows_batch(ndt.concat([lat, tile], axis=1), restore)
-    x = _stack_forward(ndt.add(full, net.decoder_pos), blocks, net.dims.heads)
-    x = ndt.layernorm(ndt.gather_rows_batch(x, masked), norm_g, norm_b)
-    return ndt.linear(x, head_w, head_b)
+    n, (b, k) = net.dims.tokens, visible.shape
+    if k + masked.shape[1] != n:
+        raise ValueError(f"{k} visible and {masked.shape[1]} masked rows are not a split of {n} positions")
+    table = Tensor(np.broadcast_to(net.decoder_pos.data, (b, n, mask_token.shape[0])))
+    pos = ndt.gather_rows_batch(table, np.concatenate([visible, masked], axis=1)).data
+    context = ndt.add(ndt.linear(latent, proj_w, proj_b), pos[:, :k])
+    x = _stack_forward(ndt.add(mask_token, pos[:, k:]), blocks, net.dims.heads, context)
+    return ndt.linear(ndt.layernorm(x, norm_g, norm_b), head_w, head_b)
 
 
 def mim_forward_batch(net: OfaNet, stream: np.ndarray, modality: str, batch, ratio: float, rng_keys) -> Tensor:

@@ -2,14 +2,15 @@
 
 Just enough surface for a small Vision Transformer, and no op it does not
 call: ``add``, ``matmul``, ``linear``, ``attention``, the row gather of a
-mask split, ``concat``, layer norm, GELU and the MSE. ``matmul`` is
+mask split, layer norm, GELU and the MSE. ``matmul`` is
 ``[..., k] @ [k, m]`` with the leading dims folded into one gemm, and
 computes no gradient for an input that does not require one.
 ``linear(a, w, b)`` adds the bias into the matmul's own fresh array: the two
 tape nodes and bytes of ``add(matmul(a, w), b)``, one array fewer.
 ``attention`` is one tape node for head split, scaled scores, softmax,
-weighted sum and head merge. ``gather_rows_batch`` takes its rows as a mask
-split (``[b, m]``, m >= 1, in range, no row repeated within a sample), so
+weighted sum and head merge, over keys and values of any length (the
+decoder's masked queries attend to the visible latents). ``gather_rows_batch``
+takes its rows as a mask split (``[b, m]``, m >= 1, in range, no row repeated within a sample), so
 its backward scatters by plain assignment. ``mse`` is a plain mean over a
 prediction and a constant target of the same shape; the model hands it the
 masked rows.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -218,9 +219,10 @@ def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head self-attention core over [..., n, d] queries, keys and
-    values: split d into ``heads`` slices of width dh, take
-    softmax(q @ kᵀ · 1/√dh) @ v per head, merge the heads back.
+    """Multi-head attention core: [..., nq, d] queries attend to [..., nk, d]
+    keys and values (nk = nq for self-attention): split d into ``heads``
+    slices of width dh, take softmax(q @ kᵀ · 1/√dh) @ v per head, merge the
+    heads back into [..., nq, d].
 
     The forward keeps q and v per head and kᵀ as contiguous copies, and the
     backward multiplies by transposed views of them and of the incoming
@@ -228,23 +230,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     reshape, permute, transpose, matmul, scale and softmax chain, so the
     bytes are that chain's."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim < 2 or not (q.shape == k.shape == v.shape) or heads < 1 or q.shape[-1] % heads:
+    if q.ndim < 2 or k.ndim != q.ndim or k.shape != v.shape or q.shape[:-2] != k.shape[:-2] \
+            or q.shape[-1] != k.shape[-1] or heads < 1 or q.shape[-1] % heads:
         raise ValueError(
-            f"attention expects equal [..., n, d] q, k, v with d divisible by {heads} heads, "
-            f"got {q.shape}, {k.shape}, {v.shape}"
+            f"attention expects [..., nq, d] queries and [..., nk, d] keys and values with d "
+            f"divisible by {heads} heads, got queries {q.shape}, keys {k.shape}, values {v.shape}"
         )
-    *lead, n, d = q.shape
-    split = (*lead, n, heads, d // heads)
+    *lead, _, d = q.shape
+    split = (*lead, -1, heads, d // heads)  # any row count: nq or nk
     s = 1.0 / math.sqrt(d // heads)
 
     def to_heads(x: np.ndarray) -> np.ndarray:  # [..., n, d] -> [..., H, n, dh]
         return np.ascontiguousarray(np.swapaxes(x.reshape(split), -3, -2))
 
     def merge(x: np.ndarray) -> np.ndarray:  # [..., H, n, dh] -> [..., n, d]
-        return np.swapaxes(x, -3, -2).reshape(q.shape)
+        return np.swapaxes(x, -3, -2).reshape(*lead, -1, d)
 
     qh, vh = to_heads(q.data), to_heads(v.data)
-    kt = np.ascontiguousarray(np.moveaxis(k.data.reshape(split), -3, -1))  # [..., H, dh, n]
+    kt = np.ascontiguousarray(np.moveaxis(k.data.reshape(split), -3, -1))  # [..., H, dh, nk]
     y = qh @ kt
     y *= s
     y -= y.max(axis=-1, keepdims=True)
@@ -298,20 +301,6 @@ def gather_rows_batch(a: Tensor, idx) -> Tensor:
         return (ga,)
 
     return _result(a.data[rows, idx], (a,), grad_fn)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat of zero tensors")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
-
-    return _result(data, tuple(parts), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,9 @@ def train_linear_cls(features: np.ndarray, labels: np.ndarray, config: ProbeConf
     labels = np.asarray(labels)
     k = config.k_classes
     if labels.max() >= k:
-        raise ValueError(
-            f"label {int(labels.max())} >= k_classes {k}"
-        )
+        raise ValueError(f"label {int(labels.max())} >= k_classes {k}")
+    if labels.min() < 0:
+        raise ValueError(f"label {int(labels.min())} < 0; labels must be class indices in [0, {k})")
     return _sgd_softmax(features, np.eye(k)[labels], config.resolved_lr, config.epochs)
 
 

@@ -144,7 +144,6 @@ def _op_cases(rng):
     case("gather_rows", w53[None], lambda x: dot(ndt.gather_rows_batch(x, idx[None]), rows_proj))
     case("gather_rows_batch", rng.normal(size=(2, 4, 3)),
          lambda x: dot(ndt.gather_rows_batch(x, bidx), rows_proj.reshape(2, 2, 3)))
-    case("concat", w53, lambda x: dot(ndt.concat([x, Tensor(w53 * 2)]), 0.3))
     # a batch of 2, 3 tokens of width 4, 2 heads; the other two inputs fixed
     qkv = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
     proj = rng.normal(size=(2, 3, 4))

@@ -265,6 +265,21 @@ def test_decode_mask_token_ablation():
     ndt.active_tape().clear()
 
 
+def test_decode_rejects_rows_that_are_not_a_split():
+    # visible rows 0..15 with masked rows that repeat row 0 and leave out
+    # row 16 would decode position 0 twice and position 16 never
+    net = build_net(("naip",))
+    img = gen_pretrain_sample(REG.lookup("naip"), 5, 0).image
+    visible = np.arange(16)[None]
+    latent = m.encode_tokens(net, _visible_tokens(net, img, "naip", visible))
+    overlapping = np.concatenate([[0], np.arange(17, 64)])[None]
+    with pytest.raises(ValueError, match="repeat"):
+        m.decode_tokens(net, latent, overlapping, visible, "naip")
+    with pytest.raises(ValueError, match="split of 64"):
+        m.decode_tokens(net, latent, overlapping[:, 1:], visible, "naip")
+    ndt.active_tape().clear()
+
+
 def test_decode_unknown_modality():
     net = build_net(("naip",))
     img = gen_pretrain_sample(REG.lookup("naip"), 5, 0).image
@@ -392,9 +407,10 @@ def test_patch_row_path_matches_image_path_bytes(modality):
 
 @pytest.mark.parametrize("modality", ["naip", "enmap"])
 def test_mim_forward_batch_matches_full_row_chain(modality):
-    # embedding only the visible rows and reconstructing only the masked ones
-    # is the full-row chain with the unused rows dropped: in float64, the same
-    # loss and gradients up to summation order
+    # embedding only the visible rows and decoding only the masked ones is
+    # the full-row chain, whose decoder runs per-head numpy attention, with
+    # the unused rows dropped: in float64, the same loss and gradients up to
+    # summation order
     with ndt.dtype_mode("float64"):
         net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=4)
         spec = REG.lookup(modality)
@@ -413,24 +429,28 @@ def test_mim_forward_batch_matches_full_row_chain(modality):
     assert grads.keys() == ref_grads.keys()
     assert any(name.startswith(f"embedder.{modality}.") for name in grads)
     for name in ref_grads:
-        assert rel_err(grads[name], ref_grads[name]) < 1e-10, name
+        assert rel_err(grads[name], ref_grads[name]) < 1e-12, name
 
 
 def test_enmap_step_builds_no_full_width_token_array():
-    # a desk enmap step embeds the 16 visible rows and reconstructs the 48
-    # masked ones: no tape node holds all 64 rows at the 3,584 patch width
+    # a desk enmap step embeds the 16 visible rows and decodes the 48 masked
+    # ones against them: no tape array holds all 64 rows, and the decoder's
+    # attention takes 48 queries over 16 keys
     net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=0)
     stream = np.random.default_rng(8).normal(size=(20, 64, 3584)).astype(np.float32)
     batch = np.arange(2, 18)
     m.mim_forward_batch(net, stream, "enmap", batch, 0.75, [derive_seed("wide", i) for i in range(16)])
     tape = list(ndt.active_tape())
     ndt.active_tape().clear()
-    assert not [node.out.shape for node in tape if node.out.shape[-2:] == (64, 3584)]
     embed_w, head_b = net.params["embedder.enmap.weight"], net.params["decoder.enmap.head.bias"]
     (embed,) = [node for node in tape if any(p is embed_w for p in node.parents)]
     (head,) = [node for node in tape if any(p is head_b for p in node.parents)]
     assert embed.parents[0].shape == (16, 16, 3584)
     assert head.out.shape == (16, 48, 3584)
+    assert not [node.out.shape for node in tape if node.out.ndim > 1 and node.out.shape[-2] == 64]
+    attention = [tuple(p.shape for p in node.parents) for node in tape
+                 if node.grad_fn.__qualname__.startswith("attention.")]
+    assert attention == [((16, 16, 64),) * 3] * 4 + [((16, 48, 32), (16, 16, 32), (16, 16, 32))] * 2
 
 
 def test_gather_rows_batch_matches_loop():
@@ -478,6 +498,22 @@ def test_forward_features_decoder_independent():
     with pytest.raises(KeyError, match="sentinel1"):
         m.decode_tokens(net, latent, masked, visible, "sentinel1")
     ndt.active_tape().clear()
+
+
+@pytest.mark.parametrize("fwd, digest", [
+    (m.forward_tokens, "8069fa659fd700bb22b4807bc0854c44980ca41816229f2c9613caf95dba9dfb"),
+    (m.forward_features, "dea63e13d0066cc1546c8bc902badc0a004db389625f144b7f5d01e9e56ccb45"),
+])
+def test_probe_path_bytes_pinned(fwd, digest):
+    # every probe readout's bytes: the backbone's self-attention is attention
+    # with as many keys as queries, whose float operations must stay as they
+    # were before attention took keys of any length
+    net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=9)
+    h = hashlib.sha256()
+    for spec in builtin_modalities():
+        images = np.stack([gen_pretrain_sample(spec, 23, i).image for i in range(2)])
+        h.update(fwd(net, images, spec.id).data.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_backbone_weight_sharing_across_all_modalities():

@@ -182,12 +182,45 @@ def test_softmax_grad_matches_finite_difference():
 def test_attention_rejects_bad_shapes():
     for shapes, heads in [
         ([(4, 6)] * 3, 4),  # 6 not divisible by 4 heads
-        ([(2, 4, 6), (2, 4, 6), (2, 5, 6)], 2),  # q, k, v differ
+        ([(2, 4, 6), (2, 4, 6), (2, 5, 6)], 2),  # keys and values differ
+        ([(2, 3, 6), (2, 5, 4), (2, 5, 4)], 2),  # queries and keys differ in width
+        ([(2, 3, 6), (3, 5, 6), (3, 5, 6)], 2),  # and in batch
         ([(4, 6)] * 3, 0),
         ([(6,)] * 3, 1),  # no token axis
+        ([(4, 6), (6,), (6,)], 1),  # keys without a token axis
     ]:
         with pytest.raises(ValueError, match="attention"):
             ndt.attention(*(Tensor(np.zeros(s)) for s in shapes), heads=heads)
+    assert not ndt.active_tape()
+
+
+def test_attention_shape_error_names_both_lengths():
+    q, k, v = (Tensor(np.zeros(s)) for s in [(2, 3, 4), (2, 5, 4), (2, 6, 4)])
+    with pytest.raises(ValueError, match=r"queries \(2, 3, 4\), keys \(2, 5, 4\), values \(2, 6, 4\)"):
+        ndt.attention(q, k, v, heads=2)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_cross_attention_grads_match_finite_difference(heads):
+    # 3 queries over 5 keys and values: every input's gradient, through the
+    # softmax over the key axis
+    rng = np.random.default_rng(19)
+    vals = [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 5, 4))]
+    proj = rng.normal(size=(2, 3, 4))
+    with ndt.dtype_mode("float64"):
+        ts = [Tensor(v, requires_grad=True) for v in vals]
+        out = ndt.attention(*ts, heads=heads)
+        assert out.shape == (2, 3, 4)
+        ndt.backward(composed.dot(out, proj))
+        for i, t in enumerate(ts):
+
+            def f(x, i=i):
+                args = [Tensor(a) for a in vals]
+                args[i] = Tensor(x)
+                with ndt.no_grad():
+                    return composed.dot(ndt.attention(*args, heads=heads), proj).item()
+
+            assert rel_err(t.grad, finite_diff(f, vals[i], 1e-5)) < 1e-7, "qkv"[i]
 
 
 def _unit_affine(d):
@@ -332,16 +365,6 @@ def test_stacked_matmul_computes_no_gradient_for_constant_input():
     np.testing.assert_array_equal(w.grad, a0.reshape(-1, 3).T @ g0.reshape(-1, 4))
 
 
-def test_concat_backward_splits():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    b = Tensor(np.ones((3, 2)), requires_grad=True)
-    out = ndt.concat([a, b])
-    assert out.shape == (5, 2)
-    ndt.backward(composed.dot(out, 3.0))
-    np.testing.assert_array_equal(a.grad, np.full((2, 2), 3.0))
-    np.testing.assert_array_equal(b.grad, np.full((3, 2), 3.0))
-
-
 def test_broadcast_bias_add_grad():
     rng = np.random.default_rng(23)
     x0 = rng.normal(size=(5, 3))
@@ -469,7 +492,6 @@ def test_ops_do_not_mutate_inputs():
     ndt.gelu(x)
     ndt.layernorm(x, g, b)
     ndt.add(x, x)
-    ndt.concat([x, x])
     np.testing.assert_array_equal(x.data, snap)
     ndt.active_tape().clear()
 
@@ -597,8 +619,6 @@ def _grad_fn_cases(rng):
         if shape:
             case(f"layernorm_{s}", lambda shape=shape: [x(*shape), x(shape[-1]), x(shape[-1])],
                  ndt.layernorm)
-            case(f"concat_{s}", lambda shape=shape: [x(*shape), x(*shape)],
-                 lambda a, b: ndt.concat([a, b], axis=0))
             case(f"add_broadcast_{s}", lambda shape=shape: [x(*shape), x(shape[-1])],
                  lambda a, b: ndt.add(a, b))
     case("matmul_2d", lambda: [x(3, 4), x(4, 5)], ndt.matmul)
@@ -612,6 +632,9 @@ def _grad_fn_cases(rng):
          lambda q, k, v: ndt.attention(q, k, v, heads=2))
     case("attention_4d_one_head", lambda: [x(2, 3, 4, 4), x(2, 3, 4, 4), x(2, 3, 4, 4)],
          lambda q, k, v: ndt.attention(q, k, v, heads=1))
+    for heads in (1, 2):
+        case(f"attention_3_queries_5_keys_{heads}_heads", lambda: [x(2, 3, 4), x(2, 5, 4), x(2, 5, 4)],
+             lambda q, k, v, heads=heads: ndt.attention(q, k, v, heads=heads))
     case("gather_rows_batch_distinct", lambda: [x(2, 5, 3)],
          lambda a: ndt.gather_rows_batch(a, [[4, 0, 2], [1, 3, 0]]))
     return cases

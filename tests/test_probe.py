@@ -141,6 +141,15 @@ def test_cls_head_rejects_out_of_range_label():
         train_linear_cls(feats, labels, ProbeConfig(task=CLS_TASK, k_classes=2))
 
 
+def test_cls_head_rejects_negative_label():
+    # np.eye(k)[-1] would train label -1 as the last class
+    feats, labels = _separable_features()
+    labels = labels.copy()
+    labels[3] = -1
+    with pytest.raises(ValueError, match="label -1 < 0"):
+        train_linear_cls(feats, labels, ProbeConfig(task=CLS_TASK, k_classes=2))
+
+
 def test_head_training_deterministic():
     feats, labels = _separable_features()
     cfg = ProbeConfig(task=CLS_TASK, k_classes=2, epochs=30)
