@@ -55,7 +55,7 @@ def write_checkpoint(path: str | Path, config_text: str, tensors) -> None:
             fh.write(struct.pack("<B", arr.ndim))
             for extent in arr.shape:
                 fh.write(struct.pack("<I", extent))
-            fh.write(arr.tobytes())
+            fh.write(arr)
 
     atomic_write(path, write)
 
@@ -83,7 +83,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             rd.fail(f"tensor name {name!r} repeated", at)
         (rank,) = rd.unpack("<B", f"{name} rank")
         shape = rd.unpack(f"<{rank}I", f"{name} shape")
-        tensors[name] = np.array(rd.array("<f4", shape, f"{name} data"))  # own the memory
+        tensors[name] = rd.array("<f4", shape, f"{name} data")
     rd.finish("tensor data")
     return Checkpoint(config_text=config_text, tensors=tensors)
 

@@ -112,12 +112,11 @@ def sincos_pos_table(rows: int, cols: int, dim: int) -> np.ndarray:
 # patch geometry
 
 
-def patchify(image, patch_size: int) -> np.ndarray:
+def patchify(arr: np.ndarray, patch_size: int) -> np.ndarray:
     """[h, w, c] -> [n, p*p*c]; row i*cols+j is patch (i, j), channel fastest.
 
     A leading batch axis is kept: [b, h, w, c] -> [b, n, p*p*c].
     """
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     if arr.ndim not in (3, 4):
         raise ValueError(f"patchify expects [h, w, c] or [b, h, w, c], got shape {arr.shape}")
     *lead, h, w, c = arr.shape
@@ -215,15 +214,15 @@ def _weight_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _init_values(seed: int, name: str, shape, kind: str) -> np.ndarray | float:
-    rng = generator("init", seed, name)
+    # a generator depends on (seed, name) alone, so only the kinds that draw make one
     if kind == "weight":
-        return _weight_uniform(rng, shape)
+        return _weight_uniform(generator("init", seed, name), shape)
     if kind == "zeros":
         return 0.0
     if kind == "ones":
         return 1.0
     if kind == "token":
-        return rng.normal(0.0, MASK_TOKEN_STD, shape)
+        return generator("init", seed, name).normal(0.0, MASK_TOKEN_STD, shape)
     raise ValueError(f"unknown init kind {kind!r}")
 
 

@@ -182,6 +182,8 @@ def train_linear_seg(
     k = config.k_classes
     if masks.max() >= k:
         raise ValueError(f"mask value {int(masks.max())} >= k_classes {k}")
+    if masks.min() < 0:
+        raise ValueError(f"mask value {int(masks.min())} < 0; masks must hold class indices in [0, {k})")
     hist = token_label_histograms(masks, patch, k)
     n, tokens, d = token_features.shape
     return _sgd_softmax(

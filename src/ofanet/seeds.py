@@ -19,24 +19,22 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 
-def derive_seed(*parts: int | str | float) -> int:
+def derive_seed(*parts: int | str) -> int:
     """Collapse a key tuple into a stable uint64 seed via SHA-256."""
     text = "\x1f".join(_canonical(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
-def _canonical(part: int | str | float) -> str:
+def _canonical(part: int | str) -> str:
     if isinstance(part, bool):
         raise TypeError("bool seed parts are ambiguous; pass int or str")
     if isinstance(part, (int, str)):
         return f"{type(part).__name__}:{part}"
-    if isinstance(part, float):
-        return f"float:{part.hex()}"
     raise TypeError(f"unsupported seed part type: {type(part).__name__}")
 
 
-def generator(*parts: int | str | float) -> np.random.Generator:
+def generator(*parts: int | str) -> np.random.Generator:
     """Independent PCG64 stream keyed by the given parts."""
     return np.random.Generator(np.random.PCG64(derive_seed(*parts)))
 

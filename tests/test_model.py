@@ -12,7 +12,7 @@ from ofanet import model as m
 from ofanet import ndtensor as ndt
 from ofanet.modalities import builtin_modalities, default_registry
 from ofanet.ndtensor import Tensor
-from ofanet.seeds import derive_seed
+from ofanet.seeds import derive_seed, generator
 from ofanet.synthdata import gen_pretrain_sample
 
 import composed
@@ -563,6 +563,23 @@ def test_init_independent_of_modality_order():
         np.testing.assert_array_equal(ta.data, tb.data)
 
 
+def test_build_makes_a_generator_only_for_parameters_that_draw(monkeypatch):
+    # the zeros and ones entries of the desk layout draw nothing, so they get no generator
+    made = []
+
+    def counting(*parts):
+        made.append(parts)
+        return generator(*parts)
+
+    specs = builtin_modalities()
+    monkeypatch.setattr(m, "generator", counting)
+    m.build_ofanet(desk_dims(), specs, seed=0)
+    layout = list(m._layout(desk_dims(), {s.id: s.channels for s in specs}))
+    drawing = [("init", 0, name) for name, _, kind in layout if kind in ("weight", "token")]
+    assert len(layout) == 257
+    assert made == drawing and len(made) == 104
+
+
 def test_load_net_rejects_tensors_that_do_not_fit_the_net(tmp_path):
     # an extra name, a wrong shape, a missing name: each raises naming the path
     from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
@@ -668,6 +685,14 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert loaded.config_text == cfg_text
     ckpt.write_checkpoint(p2, loaded.config_text, loaded.tensors.items())
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_read_checkpoint_tensors_are_views_of_the_file_buffer(tmp_path):
+    # load_net copies each tensor once, into its slice of net.flat
+    path = tmp_path / "net.ofac"
+    ckpt.save_net(path, build_net(("sentinel1", "naip")), "[train]\nseed = 1\n")
+    tensors = ckpt.read_checkpoint(path).tensors
+    assert [name for name, arr in tensors.items() if arr.flags.owndata] == []
 
 
 def test_checkpoint_load_restores_forward_bitwise(tmp_path):

@@ -38,6 +38,36 @@ def test_every_public_function_has_a_caller_outside_the_kernel():
     assert sorted(public - named - {"dtype_mode"}) == []
 
 
+# public names that only tests call, each with the reason it stays
+TEST_ONLY_API = {
+    "model.parameter_count": "acceptance oracle: the built net's size",
+    "model.expected_parameter_count": "acceptance oracle: the closed form that size must match",
+    "model.backbone_hash": "acceptance oracle: a frozen backbone keeps its bytes",
+    "ndtensor.dtype_mode": "the gradient oracle's float64 switch",
+}
+
+
+def test_every_public_name_in_the_package_has_a_caller_outside_tests():
+    # no API that only tests use: each public module-level function or class
+    # of src/ofanet is named somewhere in src/ofanet or perfbench/ (its own
+    # def is not a name), unless TEST_ONLY_API gives it a reason to stay
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "ofanet").glob("*.py"))
+    named = set()
+    for path in package + sorted((root / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    uncalled = {f"{path.stem}.{node.name}" for path in package for node in ast.parse(path.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in named}
+    assert sorted(uncalled) == sorted(TEST_ONLY_API)
+
+
 def test_matmul_identity():
     a = Tensor(np.eye(2))
     b = Tensor([[3.0, 4.0], [5.0, 6.0]])

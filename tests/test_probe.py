@@ -150,6 +150,15 @@ def test_cls_head_rejects_negative_label():
         train_linear_cls(feats, labels, ProbeConfig(task=CLS_TASK, k_classes=2))
 
 
+def test_seg_head_rejects_negative_mask_value():
+    # a -1 pixel would drop out of its token's class histogram
+    feats = np.zeros((2, 4, 3), dtype=np.float32)
+    masks = np.zeros((2, 4, 4), dtype=np.int64)
+    masks[1, 2, 3] = -1
+    with pytest.raises(ValueError, match="mask value -1 < 0"):
+        probe.train_linear_seg(feats, masks, 2, ProbeConfig(task=SEG_TASK, k_classes=2))
+
+
 def test_head_training_deterministic():
     feats, labels = _separable_features()
     cfg = ProbeConfig(task=CLS_TASK, k_classes=2, epochs=30)
