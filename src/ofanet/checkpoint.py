@@ -91,8 +91,9 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 def load_net(path: str | Path) -> tuple[OfaNet, runconfig.RunConfig]:
     """Rebuild the net described by the embedded config and load its weights.
 
-    A config, modality id, tensor name or shape that does not fit raises a
-    ValueError naming the path."""
+    A config, modality id, tensor name or shape that does not fit, or a
+    NaN or Inf weight, raises a ValueError naming the path; `read_checkpoint`
+    (and so `ofanet inspect`) reads such weights as they are."""
     ckpt = read_checkpoint(path)
     try:
         cfg = runconfig.parse_config(ckpt.config_text)
@@ -104,6 +105,15 @@ def load_net(path: str | Path) -> tuple[OfaNet, runconfig.RunConfig]:
             if t.shape != arr.shape:
                 raise ValueError(f"parameter {name} has shape {t.shape}, got {arr.shape}")
             np.copyto(t.data, arr)
+        # a NaN or Inf weight would flow silently into every probe metric. A
+        # float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every weight is: one pass, and no temporary array.
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            finite = np.isfinite(net.flat.sum(dtype=np.float64))
+        if not finite:
+            name, bad = next((n, t.size - np.count_nonzero(np.isfinite(t.data)))
+                             for n, t in net.params.items() if not np.isfinite(t.data).all())
+            raise ValueError(f"parameter {name} has {bad} non-finite values")
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from exc
     return net, cfg

@@ -9,9 +9,16 @@ computes no gradient for an input that does not require one.
 tape nodes and bytes of ``add(matmul(a, w), b)``, one array fewer.
 ``attention`` is one tape node for head split, scaled scores, softmax,
 weighted sum and head merge, over keys and values of any length (the
-decoder's masked queries attend to the visible latents). ``gather_rows_batch``
-takes its rows as a mask split (``[b, m]``, m >= 1, in range, no row repeated within a sample), so
-its backward scatters by plain assignment. ``mse`` is a plain mean over a
+decoder's masked queries attend to the visible latents). Its softmax takes
+the row max over keys from a key-major contiguous copy of the scores: numpy
+reduces a short contiguous last axis one row at a time, but the leading axis
+of a contiguous array element by element, whole rows at once. A max returns
+one of its inputs and NaN propagates either way; only the sign of a zero max
+can differ, and ``exp(y - max)`` erases it, so the bytes are the same. The
+softmax and layer-norm sums and means keep numpy's row-by-row order.
+``gather_rows_batch`` takes its rows as a mask split (``[b, m]``, m >= 1, in
+range, no row repeated within a sample), so its backward scatters by plain
+assignment. ``mse`` is a plain mean over a
 prediction and a constant target of the same shape; the model hands it the
 masked rows.
 
@@ -250,7 +257,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     kt = np.ascontiguousarray(np.moveaxis(k.data.reshape(split), -3, -1))  # [..., H, dh, nk]
     y = qh @ kt
     y *= s
-    y -= y.max(axis=-1, keepdims=True)
+    # the row max over keys, from a key-major copy (see the module docstring)
+    y -= np.ascontiguousarray(np.swapaxes(y, -1, -2)).max(axis=-2)[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 

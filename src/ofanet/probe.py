@@ -6,9 +6,13 @@ batches on the model's one forward path (pooled for classification, per
 token for segmentation), cached as plain arrays, and a linear head is fit
 on top by full-batch gradient descent with momentum, from zero init. Both
 tasks share that one fit: a classification label is a one-hot row, a
-segmentation token the pixel count of each class in its patch. Labeled sets
-are split 80/20 by index into head-train and eval halves; reports carry the
-eval-half metric only.
+segmentation token the pixel count of each class in its patch. Each epoch
+runs its chain in place, and its softmax takes the row max over the k logit
+columns from a class-major copy, element by element, as ``ndtensor``'s
+attention does over keys: the same operations in the same order, so the
+same bytes, with fewer temporaries and no per-row reduction of k values.
+Labeled sets are split 80/20 by index into head-train and eval halves;
+reports carry the eval-half metric only.
 """
 
 from __future__ import annotations
@@ -133,15 +137,21 @@ def _sgd_softmax(
     row_counts = hist.sum(axis=1, keepdims=True)
     units = max(hist.sum(), 1.0)
     for _ in range(epochs):
-        logits = x @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
+        logits = x @ w
+        logits += b
+        # the row max over the k columns, from a class-major copy
+        logits -= np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+        p = np.exp(logits, out=logits)
         p /= p.sum(axis=1, keepdims=True)
-        g = (p * row_counts - hist) / units
-        gw = x.T @ g
-        gb = g.sum(axis=0)
-        vw = MOMENTUM * vw + gw
-        vb = MOMENTUM * vb + gb
+        p *= row_counts  # p becomes the logits' gradient
+        p -= hist
+        p /= units
+        gw = x.T @ p
+        gb = p.sum(axis=0)
+        vw *= MOMENTUM
+        vw += gw
+        vb *= MOMENTUM
+        vb += gb
         w -= lr * vw
         b -= lr * vb
     return LinearHead(weight=w, bias=b)

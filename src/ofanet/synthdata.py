@@ -96,10 +96,17 @@ def _smooth(fields: np.ndarray, passes: int) -> np.ndarray:
 
 
 def _standardize(fields: np.ndarray) -> np.ndarray:
-    """Zero mean, unit variance over the trailing two axes."""
-    mu = fields.mean(axis=(-2, -1), keepdims=True)
-    sd = fields.std(axis=(-2, -1), keepdims=True)
-    return (fields - mu) / np.maximum(sd, 1e-12)
+    """Zero mean, unit variance over the trailing two axes.
+
+    The mean is taken once; the deviation runs numpy's own ``std`` steps on
+    the centred array (square, sum, divide by the count, sqrt), so the bytes
+    are those of ``fields.std``."""
+    xc = fields - fields.mean(axis=(-2, -1), keepdims=True)
+    sd = np.square(xc).sum(axis=(-2, -1), keepdims=True)
+    sd /= fields.shape[-2] * fields.shape[-1]
+    np.sqrt(sd, out=sd)
+    xc /= np.maximum(sd, 1e-12)
+    return xc
 
 
 def spectral_knots(channels: int) -> int:
@@ -301,11 +308,12 @@ def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
         fh.write(ident)
         fh.write(struct.pack("<IHHHB", n, h, w, c, kind))
         for i in range(n):
-            fh.write(np.ascontiguousarray(dataset.images[i], dtype="<f4").tobytes())
+            # a contiguous array is its own buffer: no bytes copy per sample
+            fh.write(np.ascontiguousarray(dataset.images[i], dtype="<f4"))
             if kind == LABEL_CLASS:
                 fh.write(struct.pack("<H", int(dataset.labels[i])))
             elif kind == LABEL_MASK:
-                fh.write(np.ascontiguousarray(dataset.masks[i], dtype=np.uint8).tobytes())
+                fh.write(np.ascontiguousarray(dataset.masks[i], dtype=np.uint8))
 
     atomic_write(path, write)
 

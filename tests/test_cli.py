@@ -58,6 +58,18 @@ def test_gen_data_unknown_modality_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.ofad").exists()
 
 
+@pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_gen_data_rejects_a_count_below_one(tmp_path, capsys, kind, count):
+    # numpy's "need at least one array to stack" named no flag
+    out = tmp_path / "x.ofad"
+    rc = main(["gen-data", "--modality", "naip", "--kind", kind, "--count", str(count),
+               "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
 def test_failed_write_leaves_no_partial_file(tmp_path):
     ds = synthdata.LoadedDataset(
         modality_id="sentinel1",

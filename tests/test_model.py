@@ -599,6 +599,26 @@ def test_load_net_rejects_tensors_that_do_not_fit_the_net(tmp_path):
             ckpt.load_net(path)
 
 
+@pytest.mark.parametrize("value, later", [(np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf),
+                                          (np.inf, -np.inf)], ids=["nan", "+inf", "-inf", "+inf,-inf"])
+def test_load_net_rejects_non_finite_parameters(tmp_path, value, later):
+    # such a net would fit a NaN probe head and report a number without a
+    # word; read_checkpoint still reads the file, for inspect
+    from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
+
+    cfg = RunConfig(train=TrainConfig(input_size=8, embed_dim=8, depth=2, heads=2, decoder_embed_dim=4,
+                                      decoder_depth=1, modalities=("naip",)))
+    tensors = {name: t.data.copy() for name, t in cfg.build_net().params.items()}
+    tensors["backbone.block1.mlp.w1"][0, :2] = value
+    tensors["decoder.naip.head.bias"][3] = later
+    path = tmp_path / "bad.ofac"
+    ckpt.write_checkpoint(path, serialize_config(cfg), tensors.items())
+    message = f"{path}: parameter backbone.block1.mlp.w1 has 2 non-finite values"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ckpt.load_net(path)
+    np.testing.assert_array_equal(ckpt.read_checkpoint(path).tensors["backbone.block1.mlp.w1"][0, :2], value)
+
+
 def test_build_and_load_make_every_parameter_its_slice_of_flat(tmp_path):
     from ofanet.runconfig import RunConfig, TrainConfig, serialize_config
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ def test_head_training_deterministic():
     h2 = train_linear_cls(feats, labels, cfg)
     np.testing.assert_array_equal(h1.weight, h2.weight)
     np.testing.assert_array_equal(h1.bias, h2.bias)
+
+
+@pytest.mark.parametrize("task, digest", [
+    (CLS_TASK, "967703a3f6758449b34a4d5e3c016524a6a851bec08d69f97ecc01ce6e49a611"),
+    (SEG_TASK, "dae9c63b40b4e59aa6c1f1a527acac421341899137fe01b5eec2da9fa7c1a443"),
+])
+def test_head_fit_bytes_pinned(task, digest):
+    # the fit's float operations and their order: a 4-class head at the cls
+    # defaults, a 2-class seg head at an lr that moves it off zero
+    rng = np.random.default_rng(20)
+    feats = rng.normal(0.0, 1.0, (48, 16)).astype(np.float32)
+    if task == CLS_TASK:
+        head = train_linear_cls(feats, np.arange(48) % 4, ProbeConfig(task=CLS_TASK, k_classes=4))
+    else:
+        tokens = rng.normal(0.0, 1.0, (6, 16, 16)).astype(np.float32)
+        masks = (rng.random((6, 16, 16)) < 0.4).astype(np.uint8)
+        head = probe.train_linear_seg(tokens, masks, 4, ProbeConfig(task=SEG_TASK, k_classes=2, lr=1e-2))
+    assert hashlib.sha256(head.weight.tobytes() + head.bias.tobytes()).hexdigest() == digest
 
 
 def test_token_label_histograms_follow_patchify_order():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -224,6 +225,26 @@ def test_ofad_roundtrip_byte_identical(tmp_path, kind):
         np.testing.assert_array_equal(loaded.masks, ds.masks)
     sd.save_dataset(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("mid, kind, digest", [
+    ("naip", "pretrain", "8905d375dd05cb306928d7e3b08b28711a197f7ac076f413bf09b6cf7c488148"),
+    ("naip", "cls", "2dbf09da8104e998122ef3ba9633e165dab45198c6366cb9841e83d4fd1e7862"),
+    ("naip", "seg", "ba2b001bdbcaf6c84a5951a22bb8f17a8941df97654f58e9fe4f72b84c5f5f43"),
+    ("enmap", "pretrain", "4c6bbaa158f0171df4e654e0602c75cfc6fb0c30f61c970f1692745a42810167"),
+    ("enmap", "cls", "0aa01b8c39b673882ecfa54b55d85f664fceca717b849c5a73ce5e5a3a602e80"),
+    ("enmap", "seg", "ee61ac67232597c39d38a91c8084c79f092bb587d981577c9ca84b18906d55e9"),
+])
+def test_generated_set_bytes_pinned(tmp_path, mid, kind, digest):
+    # generated pixels, labels and masks, through the OFAD writer: a
+    # multispectral and the hyperspectral modality, each generator once
+    spec = REG.lookup(mid)
+    samples = {"pretrain": lambda: sd.gen_pretrain_stream(spec, 31, 3),
+               "cls": lambda: sd.gen_cls_dataset(spec, 4, 2, 31),
+               "seg": lambda: sd.gen_seg_dataset(spec, 3, 2, 31)}[kind]()
+    path = tmp_path / "set.ofad"
+    sd.save_dataset(path, sd.stack_samples(mid, samples))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("mid", ["naip", "gaofen", "enmap", "sentinel2"])

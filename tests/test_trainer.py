@@ -1,3 +1,4 @@
+import hashlib
 import re
 from types import SimpleNamespace
 
@@ -352,6 +353,16 @@ def test_pretrain_writes_checkpoints_and_log(tmp_path):
         m.forward_features(result.net, img, "sentinel1").data,
         m.forward_features(restored, img, "sentinel1").data,
     )
+
+
+def test_desk_run_bytes_pinned(tmp_path):
+    # the training bytes of every op, the decoder's cross-attention included;
+    # a change that must keep them is checked here, at any OFA_THREADS
+    pretrain(TrainConfig(seed=11, samples_per_modality=32, epochs=2), out_dir=tmp_path)
+    assert hashlib.sha256((tmp_path / "loss.log").read_bytes()).hexdigest() == \
+        "9c0cbbed01b48765433d57516fd4e9b5faf9bd7406e550f1ed10b8ab526b5c1a"
+    assert hashlib.sha256((tmp_path / "checkpoint-final.ofac").read_bytes()).hexdigest() == \
+        "b57cf2b92b051cec17ee3c902529f2924264498fe27c3399fc391c0b554ce4bc"
 
 
 def test_pretrain_checkpoint_rebuilds_custom_registry_net(tmp_path):
