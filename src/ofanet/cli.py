@@ -41,6 +41,8 @@ def _read_run_config(path: str | None) -> RunConfig:
 def _cmd_gen_data(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.size < 0:
+        raise ValueError(f"--size must be at least 1, or 0 for the config's input_size; got {args.size}")
     cfg = _read_run_config(args.config)
     registry = cfg.build_registry()
     spec = registry.lookup(args.modality)

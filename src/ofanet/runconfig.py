@@ -18,6 +18,7 @@ defaults below are the scaled-down stand-in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -73,11 +74,11 @@ class TrainConfig:
                 f"samples_per_modality {self.samples_per_modality} smaller than "
                 f"batch_size {self.batch_size}: zero steps per epoch"
             )
-        if self.base_lr <= 0:
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ValueError(f"base_lr must be positive, got {self.base_lr}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}")
-        if self.weight_decay < 0:
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not self.modalities:
             raise ValueError("modalities list must not be empty")
@@ -101,7 +102,7 @@ class ProbeConfig:
     def validate(self) -> None:
         if self.task not in (CLS_TASK, SEG_TASK):
             raise ValueError(f"task must be {CLS_TASK!r} or {SEG_TASK!r}, got {self.task!r}")
-        if self.lr is not None and self.lr <= 0:
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")

@@ -28,6 +28,15 @@ texture variation of the same scale; unlike independent per-band class
 spectra, it does not grow with the band count. The raw-pixel oracles in
 ``tests/test_synthdata.py`` show that both tasks stay solvable from the
 pixels alone.
+
+Each sample allocates its own full-size float64 arrays and hands them on:
+the texture fields ([c, h, w], interpolated into a fresh array and
+standardized in place), the noise draw ([h, w, c], scaled and summed into in
+place by ``_assemble``) and one C-ordered [h, w, c] image that the texture
+term is written into; the clamped float32 copy is the sample's image. At
+enmap's 224 bands one sample thus holds under four float64 images at once.
+No buffer outlives its sample, so ``parallel_map`` may build samples
+concurrently.
 """
 
 from __future__ import annotations
@@ -96,17 +105,18 @@ def _smooth(fields: np.ndarray, passes: int) -> np.ndarray:
 
 
 def _standardize(fields: np.ndarray) -> np.ndarray:
-    """Zero mean, unit variance over the trailing two axes.
+    """Zero mean, unit variance over the trailing two axes, in place.
 
+    Consumes ``fields``: it is centred and scaled where it lies and returned.
     The mean is taken once; the deviation runs numpy's own ``std`` steps on
     the centred array (square, sum, divide by the count, sqrt), so the bytes
-    are those of ``fields.std``."""
-    xc = fields - fields.mean(axis=(-2, -1), keepdims=True)
-    sd = np.square(xc).sum(axis=(-2, -1), keepdims=True)
+    are those of ``fields.std``. The square is the one full-size temporary."""
+    fields -= fields.mean(axis=(-2, -1), keepdims=True)
+    sd = np.square(fields).sum(axis=(-2, -1), keepdims=True)
     sd /= fields.shape[-2] * fields.shape[-1]
     np.sqrt(sd, out=sd)
-    xc /= np.maximum(sd, 1e-12)
-    return xc
+    fields /= np.maximum(sd, 1e-12)
+    return fields
 
 
 def spectral_knots(channels: int) -> int:
@@ -115,7 +125,10 @@ def spectral_knots(channels: int) -> int:
 
 
 def _to_bands(knot_values: np.ndarray, channels: int, axis: int = -1) -> np.ndarray:
-    """Interpolate knot values linearly to `channels` bands along `axis`."""
+    """Interpolate knot values linearly to `channels` bands along `axis`.
+
+    Returns ``knot_values`` itself when it already has `channels` bands, else
+    a fresh array, built with one other band-size temporary."""
     k = knot_values.shape[axis]
     if k == channels:
         return knot_values
@@ -124,7 +137,12 @@ def _to_bands(knot_values: np.ndarray, channels: int, axis: int = -1) -> np.ndar
     shape = [1] * knot_values.ndim
     shape[axis] = channels
     frac = (pos - lo).reshape(shape)
-    return (1.0 - frac) * np.take(knot_values, lo, axis=axis) + frac * np.take(knot_values, lo + 1, axis=axis)
+    out = np.take(knot_values, lo, axis=axis)
+    out *= 1.0 - frac
+    hi = np.take(knot_values, lo + 1, axis=axis)
+    hi *= frac
+    out += hi
+    return out
 
 
 def _texture_fields(rng: np.random.Generator, c: int, h: int, w: int, passes: int) -> np.ndarray:
@@ -137,14 +155,19 @@ def _texture_fields(rng: np.random.Generator, c: int, h: int, w: int, passes: in
 
 
 def _assemble(spectral: np.ndarray, fields: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Spectral + texture + noise mix in [h, w, c], clamped.
+    """Spectral + texture + noise mix in [h, w, c], clamped, as float32.
 
     ``spectral`` holds knot values, [knots] broadcast over all pixels or
-    [h, w, knots] per pixel.
+    [h, w, knots] per pixel; ``fields`` ([c, h, w]) is only read. Consumes
+    ``noise``: the mix is summed into it. IEEE addition commutes, so the
+    bytes are those of ``(s + f) + n``.
     """
     spectral = _to_bands(spectral, noise.shape[-1])
-    img = SPECTRAL_AMP * spectral + FIELD_AMP * np.moveaxis(fields, 0, -1) + NOISE_AMP * noise
-    return np.clip(img, -IMAGE_CLAMP, IMAGE_CLAMP).astype(np.float32)
+    img = np.multiply(np.moveaxis(fields, 0, -1), FIELD_AMP, out=np.empty(noise.shape))
+    img += SPECTRAL_AMP * spectral
+    noise *= NOISE_AMP
+    noise += img
+    return np.clip(noise, -IMAGE_CLAMP, IMAGE_CLAMP, out=np.empty(noise.shape, dtype=np.float32))
 
 
 def gen_pretrain_sample(
@@ -153,6 +176,7 @@ def gen_pretrain_sample(
     """Unlabeled sample: a fresh random signature per index."""
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
+    _check_size(size)
     rng = generator("pretrain", global_seed, spec.id, index)
     spectral = rng.uniform(-1.0, 1.0, spectral_knots(spec.channels))
     passes = int(rng.integers(2, 7))
@@ -185,6 +209,11 @@ def class_palette(spec: ModalitySpec, k_classes: int, global_seed: int) -> list[
     return [ClassSignature(base + offsets[i], int(passes[i])) for i in range(k_classes)]
 
 
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise ValueError(f"image size must be >= 1, got {size}")
+
+
 def _check_classes(k_classes: int) -> None:
     if k_classes < 2:
         raise ValueError(f"k_classes must be >= 2, got {k_classes}")
@@ -205,6 +234,7 @@ def gen_cls_dataset(
 ) -> list[SynthSample]:
     """Labeled classification set; class counts balanced within one."""
     _check_classes(k_classes)
+    _check_size(size)
     if n < k_classes:
         raise ValueError(f"need n >= k_classes, got n={n}, k={k_classes}")
     palette = class_palette(spec, k_classes, global_seed)
@@ -232,6 +262,7 @@ def gen_seg_dataset(
 ) -> list[SynthSample]:
     """Labeled segmentation set; mask = per-pixel argmax over k smooth fields."""
     _check_classes(k_classes)
+    _check_size(size)
     if n < k_classes:
         raise ValueError(f"need n >= k_classes, got n={n}, k={k_classes}")
     palette = class_palette(spec, k_classes, global_seed)

@@ -70,6 +70,25 @@ def test_gen_data_rejects_a_count_below_one(tmp_path, capsys, kind, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
+def test_gen_data_rejects_a_negative_size(tmp_path, capsys, kind):
+    # numpy's "negative dimensions are not allowed" named no flag
+    out = tmp_path / "x.ofad"
+    rc = main(["gen-data", "--modality", "naip", "--kind", kind, "--count", "4",
+               "--seed", "1", "--size", "-4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: --size must be at least 1, or 0 for the config's input_size; got -4\n"
+    assert not out.exists()
+
+
+def test_gen_data_size_zero_takes_the_config_input_size(tmp_path, tiny_config_path):
+    out = tmp_path / "x.ofad"
+    assert main(["gen-data", "--modality", "naip", "--kind", "pretrain", "--count", "2", "--seed", "1",
+                 "--size", "0", "--config", str(tiny_config_path), "--out", str(out)]) == 0
+    assert synthdata.load_dataset(out).images.shape == (2, 16, 16, 3)
+
+
 def test_failed_write_leaves_no_partial_file(tmp_path):
     ds = synthdata.LoadedDataset(
         modality_id="sentinel1",
@@ -260,6 +279,18 @@ def test_probe_flags_and_data_make_the_probe_config(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli.probe_mod, "run_seg_probe", fake_probe)
     assert main(["probe", "--task", kind, "--checkpoint", "random-init", "--data", str(data)] + flags) == 0
     assert seen == [expected]
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_probe_rejects_a_non_finite_lr(tmp_path, capsys, lr):
+    # a NaN or infinite lr fits a NaN head, whose readout means nothing
+    data = tmp_path / "cls.ofad"
+    assert main(["gen-data", "--modality", "naip", "--kind", "cls", "--count", "4", "--seed", "1",
+                 "--classes", "2", "--size", "16", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["probe", "--task", "cls", "--checkpoint", "random-init", "--data", str(data), "--lr", lr])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: lr must be positive, got {lr}\n"
 
 
 def test_bad_config_reports_line(tmp_path, capsys):

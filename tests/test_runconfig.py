@@ -190,3 +190,18 @@ def test_model_dims_below_one_rejected_at_their_line(key, value):
     # checked before the divisibility checks, which divide by heads and patch_size
     with pytest.raises(ConfigError, match=f"line 2: {key} must be >= 1"):
         parse_config(f"[train]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key, message", [("base_lr", "base_lr must be positive"),
+                                          ("weight_decay", "weight_decay must be >= 0")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_rates_rejected_at_their_line(key, message, value):
+    # nan <= 0 is False, so a sign check alone let NaN through
+    with pytest.raises(ConfigError, match=f"^line 2: {message}, got {value}$"):
+        parse_config(f"[train]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf")])
+def test_probe_lr_must_be_finite(lr):
+    with pytest.raises(ValueError, match=f"^lr must be positive, got {lr}$"):
+        ProbeConfig(lr=lr).validate()

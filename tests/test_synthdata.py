@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,47 @@ def test_generation_identical_under_parallelism(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
+def test_enmap_generation_identical_under_parallelism(monkeypatch, kind):
+    # every sample owns its arrays, so concurrent samples cannot share one
+    gen = {"pretrain": lambda: sd.gen_pretrain_stream(ENMAP, 3, 6),
+           "cls": lambda: sd.gen_cls_dataset(ENMAP, 6, 3, 3),
+           "seg": lambda: sd.gen_seg_dataset(ENMAP, 6, 2, 3)}[kind]
+    monkeypatch.delenv("OFA_THREADS", raising=False)
+    seq = gen()
+    monkeypatch.setenv("OFA_THREADS", "4")
+    par = gen()
+    for a, b in zip(seq, par, strict=True):
+        assert a.label == b.label
+        np.testing.assert_array_equal(a.image, b.image)
+        np.testing.assert_array_equal(a.mask, b.mask)
+
+
+def test_enmap_sample_peaks_under_four_float64_images():
+    # noise, texture fields and the image being built are the full-size
+    # float64 arrays a sample needs at once, plus its float32 result
+    image_bytes = 32 * 32 * ENMAP.channels * 8
+    sd.gen_pretrain_sample(ENMAP, 1, 0)
+    tracemalloc.start()
+    try:
+        sd.gen_pretrain_sample(ENMAP, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * image_bytes
+
+
+@pytest.mark.parametrize("size", [0, -4])
+def test_generators_reject_a_size_below_one(size):
+    # a size below 1 is named here, not left to fail inside numpy
+    for gen in (lambda: sd.gen_pretrain_sample(NAIP, 1, 0, size=size),
+                lambda: sd.gen_pretrain_stream(NAIP, 1, 2, size=size),
+                lambda: sd.gen_cls_dataset(NAIP, 4, 2, 1, size=size),
+                lambda: sd.gen_seg_dataset(NAIP, 4, 2, 1, size=size)):
+        with pytest.raises(ValueError, match=f"^image size must be >= 1, got {size}$"):
+            gen()
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
 def test_ofad_roundtrip_byte_identical(tmp_path, kind):
     if kind == "pretrain":
         ds = sd.stack_samples("sentinel1", sd.gen_pretrain_stream(S1, 1, 6, size=16))
@@ -234,10 +276,19 @@ def test_ofad_roundtrip_byte_identical(tmp_path, kind):
     ("enmap", "pretrain", "4c6bbaa158f0171df4e654e0602c75cfc6fb0c30f61c970f1692745a42810167"),
     ("enmap", "cls", "0aa01b8c39b673882ecfa54b55d85f664fceca717b849c5a73ce5e5a3a602e80"),
     ("enmap", "seg", "ee61ac67232597c39d38a91c8084c79f092bb587d981577c9ca84b18906d55e9"),
+    ("sentinel1", "pretrain", "87d3f09c61690efcc27d3ca2a957e3f0c13151ddd40e3c012809f0853292a95d"),
+    ("sentinel1", "cls", "80e38e62b8b76e862e6d3a4035755953b7a5240cf3af94661689d2f4d9164478"),
+    ("sentinel1", "seg", "4846f4f28100001b279b8675745e2de9984fcd7a84e086a9c7fe57fde6b1d190"),
+    ("sentinel2", "pretrain", "20607e6d83ef5c72c3245c5c4d59dc548e7dd9f9478d0130a91cd0d04581746b"),
+    ("sentinel2", "cls", "cb350858ec22701383a377b07c1eb78bf486626e68b02333cb2c295ed79eb5c7"),
+    ("sentinel2", "seg", "36d3ca99caf2d9b652a5057efc64ea130e3480ba7f1f00cdac66071dc5100d56"),
+    ("gaofen", "pretrain", "06b19b64b5bddb4dc4566951bcab41775d16b645c315d142c7ae569f0cfa3c3c"),
+    ("gaofen", "cls", "46e5e1b38562e6df92a2199531bfaa135e35ad3ae96644b1f5ef8d1c3ac89e93"),
+    ("gaofen", "seg", "818ca5ff181a55b20c9d777dfcb4baa4a86e37c35e0093ec43446de355429e08"),
 ])
 def test_generated_set_bytes_pinned(tmp_path, mid, kind, digest):
-    # generated pixels, labels and masks, through the OFAD writer: a
-    # multispectral and the hyperspectral modality, each generator once
+    # generated pixels, labels and masks, through the OFAD writer: every
+    # builtin modality (2 to 224 bands), each generator once
     spec = REG.lookup(mid)
     samples = {"pretrain": lambda: sd.gen_pretrain_stream(spec, 31, 3),
                "cls": lambda: sd.gen_cls_dataset(spec, 4, 2, 31),
