@@ -1,12 +1,14 @@
 """File I/O: bounds-checked reads for the OFAD and OFAC binary formats, and
 the atomic write every file the program writes goes through.
 
-A reader holds one file's bytes, read into a writable buffer, and a cursor.
-Every read first checks that the bytes it needs are there, so a truncated or
-corrupt file raises a ``ValueError`` that names the path and the byte
-offset, never a raw ``struct.error`` or a numpy "buffer is smaller than
-requested size". Arrays are views of the buffer, so a caller that keeps one
-keeps the file's single copy rather than copying it out.
+A reader keeps one file open, takes its size from ``fstat`` and keeps a
+cursor. Every read first checks that the bytes it needs are there, so a
+truncated or corrupt file raises a ``ValueError`` that names the path and
+the byte offset, never a raw ``struct.error`` or a numpy "buffer is smaller
+than requested size". Arrays are read straight into a destination: one the
+caller owns (``readinto``) or one allocated once its size has been checked
+(``array``). No buffer holds the whole file, so a loaded array is the data's
+only copy.
 
 ``atomic_write`` writes to a temp file beside the target and renames it into
 place, so a failed write leaves the old file (or no file) and no partial one.
@@ -24,42 +26,51 @@ import numpy as np
 
 
 class BinaryReader:
-    """The bytes of one file of format ``name`` (``"OFAD"`` or ``"OFAC"``) and a cursor."""
+    """An open file of format ``name`` (``"OFAD"`` or ``"OFAC"``) and a cursor;
+    use it as a context manager, which closes the file."""
 
     def __init__(self, path: str | Path, name: str):
         self.path = path
         self.name = name
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            # the fixed-size records of an OFAD file run to its end, so a
-            # buffer in which the file ends on an 8-byte boundary leaves its
-            # float arrays aligned; np.empty, unlike bytearray, skips a
-            # zero-fill pass that readinto overwrites anyway
-            pad = -size % 8
-            buf = np.empty(pad + size, dtype=np.uint8)
-            got = fh.readinto(memoryview(buf)[pad:])
-        self.raw = memoryview(buf)[pad : pad + got]
+        self.fh = open(path, "rb")
+        self.size = os.fstat(self.fh.fileno()).st_size
         self.off = 0
+
+    def __enter__(self) -> BinaryReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
 
     def fail(self, what: str, at: int | None = None) -> NoReturn:
         offset = self.off if at is None else at
         raise ValueError(f"{self.path}: {what} at byte offset {offset}")
 
-    def take(self, nbytes: int, what: str) -> int:
-        """Advance past ``nbytes``; returns where they start."""
-        start = self.off
-        left = len(self.raw) - start
+    def need(self, nbytes: int, what: str) -> int:
+        """Check that ``nbytes`` are left, without reading them; returns where they start."""
+        left = self.size - self.off
         if nbytes > left:
             self.fail(f"truncated {self.name} file: {what} needs {nbytes} bytes, {left} left")
-        self.off = start + nbytes
-        return start
+        return self.off
+
+    def _advance(self, got: int, nbytes: int, what: str) -> None:
+        if got != nbytes:  # the file shrank since it was opened
+            self.fail(f"truncated {self.name} file: {what} needs {nbytes} bytes, {got} read")
+        self.off += nbytes
 
     def read(self, nbytes: int, what: str) -> bytes:
-        start = self.take(nbytes, what)
-        return self.raw[start : start + nbytes].tobytes()
+        self.need(nbytes, what)
+        data = self.fh.read(nbytes)
+        self._advance(len(data), nbytes, what)
+        return data
+
+    def readinto(self, dest: np.ndarray, what: str) -> None:
+        """Fill the C-contiguous array ``dest`` with the next ``dest.nbytes`` bytes."""
+        self.need(dest.nbytes, what)
+        self._advance(self.fh.readinto(dest), dest.nbytes, what)
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack_from(fmt, self.raw, self.take(struct.calcsize(fmt), what))
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def text(self, nbytes: int, encoding: str, what: str) -> str:
         start = self.off
@@ -69,17 +80,18 @@ class BinaryReader:
             self.fail(f"{what} is not {encoding} text", start)
 
     def array(self, dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """Writable view of the next ``shape`` items of ``dtype``."""
+        """The next ``shape`` items of ``dtype``, read into a fresh array."""
         dtype = np.dtype(dtype)
-        count = math.prod(shape)  # python ints: a corrupt extent cannot overflow
-        start = self.take(count * dtype.itemsize, what)
+        start = self.need(math.prod(shape) * dtype.itemsize, what)  # python ints: cannot overflow
         try:
-            return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start).reshape(shape)
-        except ValueError as exc:  # a zero extent lets any rank or extents pass `take`
+            out = np.empty(shape, dtype=dtype)
+        except ValueError as exc:  # a zero extent lets any rank or extents pass `need`
             self.fail(f"{what}: {exc}", start)
+        self.readinto(out, what)
+        return out
 
     def finish(self, what: str) -> None:
-        if self.off != len(self.raw):
+        if self.off != self.size:
             self.fail(f"trailing bytes after {what}")
 
 

@@ -47,6 +47,8 @@ def _cmd_gen_data(args) -> int:
     registry = cfg.build_registry()
     spec = registry.lookup(args.modality)
     size = args.size if args.size else cfg.train.input_size
+    # a set the OFAD header cannot hold fails before any sample is generated
+    synthdata._check_ofad_shape(args.count, size, size, spec.channels)
     if args.kind == "pretrain":
         samples = synthdata.gen_pretrain_stream(spec, args.seed, args.count, size=size)
     elif args.kind == "cls":

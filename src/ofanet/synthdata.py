@@ -326,9 +326,17 @@ def stack_samples(modality_id: str, samples: list[SynthSample]) -> LoadedDataset
     return LoadedDataset(modality_id, images, labels, masks)
 
 
+def _check_ofad_shape(n: int, h: int, w: int, c: int) -> None:
+    """Reject a set shape the OFAD header cannot hold (u32 n; u16 h, w, c)."""
+    for field, value, limit in (("n", n, 2**32 - 1), ("h", h, 2**16 - 1), ("w", w, 2**16 - 1), ("c", c, 2**16 - 1)):
+        if value > limit:
+            raise ValueError(f"OFAD header field {field} must be <= {limit}, got {value}")
+
+
 def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
     """Write an OFAD file atomically (temp file + rename; no partials)."""
     n, h, w, c = dataset.images.shape
+    _check_ofad_shape(n, h, w, c)
     kind = dataset.label_kind
 
     def write(fh) -> None:
@@ -350,37 +358,37 @@ def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
 
 
 def load_dataset(path: str | Path) -> LoadedDataset:
-    rd = BinaryReader(path, "OFAD")
-    if rd.read(4, "magic") != _DATASET_MAGIC:
-        raise ValueError(f"{path}: not an OFAD dataset file")
-    (version,) = rd.unpack("<H", "version")
-    if version != _DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported OFAD version {version}")
-    (id_len,) = rd.unpack("<I", "modality id length")
-    modality_id = rd.text(id_len, "ascii", "modality id")
-    n, h, w, c, kind = rd.unpack("<IHHHB", "header")
-    if kind not in (LABEL_NONE, LABEL_CLASS, LABEL_MASK):
-        rd.fail(f"unknown label kind {kind}", rd.off - 1)
-    if 0 in (h, w, c):
-        rd.fail(f"empty image shape {h}x{w}x{c}")
-    # samples are fixed-size records (image, then label or mask), so the
-    # whole block is one structured array; its size is checked before the
-    # record type is built
-    record = 4 * h * w * c + (2 if kind == LABEL_CLASS else h * w if kind == LABEL_MASK else 0)
-    start = rd.take(n * record, f"{n} samples of {record} bytes")
-    fields = [("image", "<f4", (h, w, c))]
-    if kind == LABEL_CLASS:
-        fields.append(("label", "<u2"))
-    elif kind == LABEL_MASK:
-        fields.append(("mask", "u1", (h, w)))
-    samples = np.frombuffer(rd.raw, dtype=np.dtype(fields), count=n, offset=start)
-    rd.finish("sample data")
-    # the reader's buffer is writable, so an unlabeled set's images are a
-    # view of it; a labeled set's are copied out of the interleaved records
-    if kind == LABEL_NONE:
-        images = samples["image"]
-    else:
-        images = np.array(samples["image"], dtype=np.float32, order="C")
+    """Read an OFAD file straight into the arrays it returns: the set's one
+    copy, with no file-sized buffer beside it."""
+    with BinaryReader(path, "OFAD") as rd:
+        if rd.read(4, "magic") != _DATASET_MAGIC:
+            raise ValueError(f"{path}: not an OFAD dataset file")
+        (version,) = rd.unpack("<H", "version")
+        if version != _DATASET_VERSION:
+            raise ValueError(f"{path}: unsupported OFAD version {version}")
+        (id_len,) = rd.unpack("<I", "modality id length")
+        modality_id = rd.text(id_len, "ascii", "modality id")
+        n, h, w, c, kind = rd.unpack("<IHHHB", "header")
+        if kind not in (LABEL_NONE, LABEL_CLASS, LABEL_MASK):
+            rd.fail(f"unknown label kind {kind}", rd.off - 1)
+        if 0 in (h, w, c):
+            rd.fail(f"empty image shape {h}x{w}x{c}")
+        # samples are fixed-size records (image, then label or mask); the
+        # file must hold all of them before any array is allocated
+        record = 4 * h * w * c + (2 if kind == LABEL_CLASS else h * w if kind == LABEL_MASK else 0)
+        start = rd.need(n * record, f"{n} samples of {record} bytes")
+        images = np.empty((n, h, w, c), dtype="<f4")
+        labels = np.empty(n, dtype="<u2") if kind == LABEL_CLASS else None
+        masks = np.empty((n, h, w), dtype=np.uint8) if kind == LABEL_MASK else None
+        if kind == LABEL_NONE:
+            rd.readinto(images, "sample data")
+        else:
+            # a labeled record's image and payload go straight to their arrays
+            payloads = labels.reshape(n, 1) if kind == LABEL_CLASS else masks
+            for image, payload in zip(images, payloads):
+                rd.readinto(image, "sample data")
+                rd.readinto(payload, "sample data")
+        rd.finish("sample data")
     # a NaN, Inf or huge pixel would flow silently into features, losses and
     # metrics. One min and one max pass check the set (a NaN propagates
     # through both); only a set that fails them is searched for its first
@@ -393,6 +401,6 @@ def load_dataset(path: str | Path) -> LoadedDataset:
             rd.fail(f"sample {bad} has non-finite pixels", at)
         value = rows[bad][np.abs(rows[bad]) > IMAGE_CLAMP][0]
         rd.fail(f"sample {bad} has pixel {value:g} outside [-{IMAGE_CLAMP:g}, {IMAGE_CLAMP:g}]", at)
-    labels = samples["label"].astype(np.int64) if kind == LABEL_CLASS else None
-    masks = np.array(samples["mask"], order="C") if kind == LABEL_MASK else None
+    if labels is not None:
+        labels = labels.astype(np.int64)
     return LoadedDataset(modality_id, images, labels, masks)

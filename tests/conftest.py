@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ofanet import ndtensor as ndt
@@ -9,3 +11,17 @@ def _fresh_tape():
     ndt.active_tape().clear()
     yield
     ndt.active_tape().clear()
+
+
+@pytest.fixture()
+def traced_peak():
+    """``traced_peak(call)``: the peak bytes that tracemalloc sees while ``call()`` runs."""
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -82,6 +82,30 @@ def test_gen_data_rejects_a_negative_size(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, config, message", [
+    (["--modality", "wide", "--size", "1"], "[modality.wide]\nchannels = 70000\n",
+     "OFAD header field c must be <= 65535, got 70000"),
+    (["--modality", "naip", "--size", "70000"], None, "OFAD header field h must be <= 65535, got 70000"),
+])
+def test_gen_data_rejects_a_shape_the_header_cannot_hold_before_generating(tmp_path, capsys, monkeypatch,
+                                                                          extra, config, message):
+    # named up front: no sample is generated for a file that cannot be written
+    def generated(*args, **kwargs):
+        pytest.fail("generated samples for a set the OFAD header cannot hold")
+
+    for gen in ("gen_pretrain_stream", "gen_cls_dataset", "gen_seg_dataset"):
+        monkeypatch.setattr(synthdata, gen, generated)
+    if config is not None:
+        (tmp_path / "wide.cfg").write_text(config)
+        extra = extra + ["--config", str(tmp_path / "wide.cfg")]
+    out = tmp_path / "x.ofad"
+    for kind in ("pretrain", "cls", "seg"):
+        rc = main(["gen-data", "--kind", kind, "--count", "1", "--seed", "1", "--out", str(out)] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not out.with_name("x.ofad.tmp").exists()
+
+
 def test_gen_data_size_zero_takes_the_config_input_size(tmp_path, tiny_config_path):
     out = tmp_path / "x.ofad"
     assert main(["gen-data", "--modality", "naip", "--kind", "pretrain", "--count", "2", "--seed", "1",

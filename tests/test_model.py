@@ -707,12 +707,23 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_read_checkpoint_tensors_are_views_of_the_file_buffer(tmp_path):
-    # load_net copies each tensor once, into its slice of net.flat
+def test_read_checkpoint_tensors_own_their_data(tmp_path):
+    # each tensor is read straight into its own array; no buffer holds the file
     path = tmp_path / "net.ofac"
     ckpt.save_net(path, build_net(("sentinel1", "naip")), "[train]\nseed = 1\n")
     tensors = ckpt.read_checkpoint(path).tensors
-    assert [name for name, arr in tensors.items() if arr.flags.owndata] == []
+    assert [name for name, arr in tensors.items() if not arr.flags.owndata] == []
+
+
+def test_load_net_peaks_no_higher_than_building_the_net(tmp_path, traced_peak):
+    # the weights are read straight into net.flat: the load adds no copy of them
+    from ofanet.runconfig import RunConfig, serialize_config
+
+    cfg = RunConfig()
+    path = tmp_path / "desk.ofac"
+    ckpt.save_net(path, cfg.build_net(), serialize_config(cfg))
+    built = traced_peak(cfg.build_net)
+    assert traced_peak(lambda: ckpt.load_net(path)) <= built + 100_000
 
 
 def test_checkpoint_load_restores_forward_bitwise(tmp_path):

@@ -1,6 +1,6 @@
 import hashlib
 import re
-import tracemalloc
+import struct
 
 import numpy as np
 import pytest
@@ -222,18 +222,12 @@ def test_enmap_generation_identical_under_parallelism(monkeypatch, kind):
         np.testing.assert_array_equal(a.mask, b.mask)
 
 
-def test_enmap_sample_peaks_under_four_float64_images():
+def test_enmap_sample_peaks_under_four_float64_images(traced_peak):
     # noise, texture fields and the image being built are the full-size
     # float64 arrays a sample needs at once, plus its float32 result
     image_bytes = 32 * 32 * ENMAP.channels * 8
     sd.gen_pretrain_sample(ENMAP, 1, 0)
-    tracemalloc.start()
-    try:
-        sd.gen_pretrain_sample(ENMAP, 1, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * image_bytes
+    assert traced_peak(lambda: sd.gen_pretrain_sample(ENMAP, 1, 0)) < 4 * image_bytes
 
 
 @pytest.mark.parametrize("size", [0, -4])
@@ -303,14 +297,39 @@ def test_ofad_load_holds_one_copy_of_the_images(tmp_path, mid):
     # ids of 4, 6, 5 and 9 letters put the sample data at every offset mod 4
     spec = REG.lookup(mid)
     for kind, samples in (("pretrain", sd.gen_pretrain_stream(spec, 1, 3, size=8)),
-                          ("cls", sd.gen_cls_dataset(spec, 3, 2, 1, size=8))):
+                          ("cls", sd.gen_cls_dataset(spec, 3, 2, 1, size=8)),
+                          ("seg", sd.gen_seg_dataset(spec, 3, 2, 1, size=8))):
         path = tmp_path / f"{kind}.ofad"
         sd.save_dataset(path, sd.stack_samples(mid, samples))
         images = sd.load_dataset(path).images
         assert images.dtype == np.float32
         assert images.flags.c_contiguous and images.flags.aligned and images.flags.writeable
-        # unlabeled: a view of the file's buffer; labeled: copied out of the records
-        assert images.flags.owndata == (kind == "cls")
+        # every kind's images are read straight into their own array
+        assert images.flags.owndata
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "cls", "seg"])
+def test_ofad_load_peaks_at_one_copy_of_the_images(tmp_path, traced_peak, kind):
+    # no file-sized buffer beside the images, and no copy out of the records
+    samples = {"pretrain": lambda: sd.gen_pretrain_stream(ENMAP, 1, 4),
+               "cls": lambda: sd.gen_cls_dataset(ENMAP, 4, 2, 1),
+               "seg": lambda: sd.gen_seg_dataset(ENMAP, 4, 2, 1)}[kind]()
+    path = tmp_path / f"{kind}.ofad"
+    sd.save_dataset(path, sd.stack_samples("enmap", samples))
+    image_bytes = 4 * 32 * 32 * ENMAP.channels * 4
+    assert traced_peak(lambda: sd.load_dataset(path)) <= 1.05 * image_bytes
+
+
+@pytest.mark.parametrize("shape, field", [((2**32, 1, 1, 1), "n"), ((1, 2**16, 1, 1), "h"),
+                                          ((1, 1, 2**16, 1), "w"), ((1, 1, 1, 2**16), "c")])
+def test_ofad_save_names_a_shape_beyond_the_header(tmp_path, shape, field):
+    # u32 n and u16 h, w, c; a zero-stride view gives the shape without its bytes
+    limit = max(shape) - 1
+    images = np.broadcast_to(np.float32(0), shape)
+    with pytest.raises(ValueError, match=f"^OFAD header field {field} must be <= {limit}, got {limit + 1}$"):
+        sd.save_dataset(tmp_path / "wide.ofad", sd.LoadedDataset("naip", images))
+    assert list(tmp_path.iterdir()) == []
+    sd._check_ofad_shape(*(min(x, limit) for x in shape))
 
 
 def test_ofad_rejects_garbage(tmp_path):
@@ -369,6 +388,24 @@ def test_ofad_rejects_corrupt_header(small_ofad_files, at, value, message):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         sd.load_dataset(path)
+
+
+def test_ofad_size_is_checked_before_anything_is_allocated(tmp_path, traced_peak):
+    # a header that claims 2**32 - 1 samples over a one-sample body
+    path = tmp_path / "claims.ofad"
+    sd.save_dataset(path, sd.stack_samples("sentinel1", sd.gen_pretrain_stream(S1, 1, 1, size=8)))
+    raw = bytearray(path.read_bytes())
+    raw[_H_AT - 4 : _H_AT] = struct.pack("<I", 2**32 - 1)
+    path.write_bytes(bytes(raw))
+    record = 4 * 8 * 8 * 2
+    message = (f"{path}: truncated OFAD file: {2**32 - 1} samples of {record} bytes needs "
+               f"{(2**32 - 1) * record} bytes, {record} left at byte offset {_KIND_AT + 1}")
+
+    def load():
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            sd.load_dataset(path)
+
+    assert traced_peak(load) < 1_000_000
 
 
 def test_ofad_header_bit_flips_load_or_name_the_path(small_ofad_files):
