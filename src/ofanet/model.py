@@ -15,23 +15,23 @@ sin-cos tables are fixed and shared.
 There is one forward path, and it is batched: every stage takes [b, ...]
 arrays, and a single image is a batch of 1. Training works on patch rows:
 ``mim_forward_batch`` takes a stream already in ``patchify`` layout (the
-trainer patchifies each stream once, at load) and a mini-batch's indices
-in it. It draws the masks first, embeds only the visible rows at their
-positions and reconstructs only the masked ones, which ``ndtensor.mse``
-compares with the same rows of the stream. ``forward_tokens`` and
-``forward_features`` take [b, h, w, c] images, patchify them, and reuse the
-embed (at every position) and encode stages off-tape for frozen feature
-extraction; ``forward_features`` mean-pools the tokens in numpy. A block's
-attention is its q/k/v projections (``linear``, ``matmul``), one
-``ndtensor.attention`` node and the output ``linear``; every ``matmul``
-multiplies a stacked input by a weight matrix. The decoder cross-attends
-(CrossMAE, arXiv 2401.14391): one query per masked row, the mask token
-plus that row's decoder position, attends to the projected visible latents
-plus theirs, which each block normalizes with the queries' ``ln1``; the
-MLP, the final norm and the head see the query rows alone. The decoder
-hands ``ndtensor.gather_rows_batch`` two mask splits, the visible rows then
-the masked ones, as one index into the positional table, so a repeated
-row raises; so does a split of another size than n.
+trainer patchifies each stream once, at load) and a mini-batch's indices in
+it. It draws the masks first, embeds only the visible rows at their
+positions and decodes only the masked ones; ``ndtensor.linear_mse`` runs the
+reconstruction head on those straight into the loss against the same rows of
+the stream. ``forward_tokens`` and ``forward_features`` take [b, h, w, c]
+images, patchify them, and reuse the embed (at every position) and encode
+stages off-tape for frozen feature extraction; ``forward_features``
+mean-pools the tokens in numpy. A block's attention is its q/k/v projections
+(``linear``, ``matmul``), one ``ndtensor.attention`` node and the output
+``linear``; every ``matmul`` multiplies a stacked input by a weight matrix.
+The decoder cross-attends (CrossMAE, arXiv 2401.14391): one query per masked
+row, the mask token plus that row's decoder position, attends to the
+projected visible latents plus theirs, which each block normalizes with the
+queries' ``ln1``; the MLP and the final norm see the query rows alone. The
+decoder hands ``ndtensor.gather_rows_batch`` two mask splits, the visible
+rows then the masked ones, as one index into the positional table, so a
+repeated row raises; so does a split of another size than n.
 """
 
 from __future__ import annotations
@@ -367,13 +367,13 @@ def encode_tokens(net: OfaNet, tokens: Tensor) -> Tensor:
 def decode_tokens(
     net: OfaNet, latent: Tensor, masked: np.ndarray, visible: np.ndarray, modality: str
 ) -> Tensor:
-    """Reconstruction [b, m, p*p*c] of the masked rows from visible latents
-    [b, k, d]: one query per masked row, the mask token at that row's
-    position, attends to the projected latents at theirs."""
+    """Normed decoder states [b, m, d_dec] of the masked rows, the head's
+    input, from visible latents [b, k, d]: one query per masked row, the mask
+    token at that row's position, attends to the projected latents at theirs."""
     decoder = _section(net, f"decoder.{modality}")
     if not decoder:
         raise KeyError(f"no decoder for modality {modality!r}")
-    proj_w, proj_b, mask_token, *blocks, norm_g, norm_b, head_w, head_b = decoder
+    proj_w, proj_b, mask_token, *blocks, norm_g, norm_b, _, _ = decoder
     n, (b, k) = net.dims.tokens, visible.shape
     if k + masked.shape[1] != n:
         raise ValueError(f"{k} visible and {masked.shape[1]} masked rows are not a split of {n} positions")
@@ -381,7 +381,7 @@ def decode_tokens(
     pos = ndt.gather_rows_batch(table, np.concatenate([visible, masked], axis=1)).data
     context = ndt.add(ndt.linear(latent, proj_w, proj_b), pos[:, :k])
     x = _stack_forward(ndt.add(mask_token, pos[:, k:]), blocks, net.dims.heads, context)
-    return ndt.linear(ndt.layernorm(x, norm_g, norm_b), head_w, head_b)
+    return ndt.layernorm(x, norm_g, norm_b)
 
 
 def mim_forward_batch(net: OfaNet, stream: np.ndarray, modality: str, batch, ratio: float, rng_keys) -> Tensor:
@@ -399,10 +399,10 @@ def mim_forward_batch(net: OfaNet, stream: np.ndarray, modality: str, batch, rat
     if len(rng_keys) != len(batch):
         raise ValueError(f"need one rng key per sample: {len(rng_keys)} keys, batch {len(batch)}")
     masked, visible = draw_masks(n, ratio, rng_keys)
-    images = np.asarray(batch, dtype=np.intp)[:, None]
-    tokens = embed_patches(net, stream[images, visible], visible, modality)
-    pred = decode_tokens(net, encode_tokens(net, tokens), masked, visible, modality)
-    return ndt.mse(pred, stream[images, masked])
+    images = np.asarray(batch, dtype=np.intp)
+    tokens = embed_patches(net, stream[images[:, None], visible], visible, modality)
+    hidden = decode_tokens(net, encode_tokens(net, tokens), masked, visible, modality)
+    return ndt.linear_mse(hidden, *_section(net, f"decoder.{modality}.head"), stream, images, masked)
 
 
 def forward_tokens(net: OfaNet, images, modality: str) -> Tensor:

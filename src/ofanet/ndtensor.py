@@ -2,7 +2,7 @@
 
 Just enough surface for a small Vision Transformer, and no op it does not
 call: ``add``, ``matmul``, ``linear``, ``attention``, the row gather of a
-mask split, layer norm, GELU and the MSE. ``matmul`` is
+mask split, layer norm, GELU and ``linear_mse``. ``matmul`` is
 ``[..., k] @ [k, m]`` with the leading dims folded into one gemm, and
 computes no gradient for an input that does not require one.
 ``linear(a, w, b)`` adds the bias into the matmul's own fresh array: the two
@@ -18,15 +18,15 @@ can differ, and ``exp(y - max)`` erases it, so the bytes are the same. The
 softmax and layer-norm sums and means keep numpy's row-by-row order.
 ``gather_rows_batch`` takes its rows as a mask split (``[b, m]``, m >= 1, in
 range, no row repeated within a sample), so its backward scatters by plain
-assignment. ``mse`` is a plain mean over a
-prediction and a constant target of the same shape; the model hands it the
-masked rows.
+assignment. ``linear_mse`` is the reconstruction head and the masked loss
+in one node: the head's product becomes the difference from the target rows,
+which it reads from the table one sample at a time.
 
 Ops and their grad_fns never write into their inputs or into a gradient
 they receive (``add`` hands one gradient array to both parents). They may
 write into arrays they allocated themselves, which is how ``gelu``,
 ``attention`` and ``layernorm`` chain their steps with ``out=`` and how
-``mse``'s backward reuses its forward's difference (so, like every node,
+``linear_mse``'s backward reuses its forward's difference (so, like every node,
 its grad_fn runs once); each such chain keeps the textbook expression's
 operations and their order, so the bytes are the same. Outputs are fresh
 contiguous arrays. Every op whose result requires grad is recorded on a
@@ -37,8 +37,8 @@ recorded op produced, such as parameters), and clears the tape. A leaf's
 two leaves one array), and nothing writes into it. Intermediate results never
 get a ``.grad``. ``no_grad`` switches recording off for the calling thread only.
 
-Training runs in float32, except that ``mse`` accumulates and returns its
-scalar loss in float64 (its gradient is in the prediction's dtype).
+Training runs in float32, except that ``linear_mse`` accumulates and returns
+its scalar loss in float64 (its gradients are in the working dtype).
 Gradient-check tests switch the whole kernel to float64 through
 ``dtype_mode("float64")``; tensors always carry the active default dtype.
 """
@@ -190,15 +190,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 # matmul, linear, attention
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., k] @ [k, m] -> [..., m]: the leading dims of ``a`` fold into one
-    gemm instead of numpy looping a small gemm per batch row."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def _gemm(a: Tensor, b: Tensor) -> tuple[np.ndarray, tuple[Tensor, Tensor], Callable]:
+    """``matmul``'s product, parents and backward (no gradient for a constant input)."""
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul expects [..., k] @ [k, m], got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
-    # a constant input (an embedder's patch tensor) gets no gradient product
     a_grad, b_grad = a.requires_grad, b.requires_grad
     a2 = ad.reshape(-1, ash[-1])
     data = (a2 @ bd).reshape(*ash[:-1], bsh[-1])
@@ -209,7 +206,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = a2.T @ g2 if b_grad else None
         return ga, gb
 
-    return _result(data, (a, b), grad_fn)
+    return data, (a, b), grad_fn
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[..., k] @ [k, m] -> [..., m]: the leading dims of ``a`` fold into one
+    gemm instead of numpy looping a small gemm per batch row."""
+    return _result(*_gemm(_as_tensor(a), _as_tensor(b)))
 
 
 def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -387,36 +390,35 @@ def gelu(a: Tensor) -> Tensor:
 # loss
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error of ``pred`` against a constant target of the same
-    shape, as a float64 scalar.
-
-    The difference is formed in the working dtype; its squares are taken and
-    summed in float64, and the loss stays float64. A float32 loss near 1
-    only resolves steps of 1.2e-7, which swamps the finite differences of
-    parameters whose gradients are ~1e-4. The backward scales the forward's
-    difference array in place and hands it to ``pred``, in ``pred``'s own
-    dtype.
-    """
-    pred = _as_tensor(pred)
-    # the target in pred's dtype first, as a Tensor of it would be
-    target = np.asarray(target, dtype=pred.data.dtype)
-    if target.shape != pred.shape or pred.size == 0:
+def linear_mse(x: Tensor, w: Tensor, b: Tensor, table: np.ndarray, samples, rows) -> Tensor:
+    """Mean squared error of ``x @ w + b`` (x [b, m, k]) against the rows
+    ``table[samples[i], rows[i]]`` of a constant table, as a float64 scalar.
+    The bias is added into the gemm's fresh array and each sample's target
+    rows, cast to its dtype, are subtracted from it in place; its squares are
+    summed in float64, as a float32 loss near 1 resolves steps of 1.2e-7 only.
+    The backward scales it in place and feeds it to the gemm's backward: the
+    float operations of ``linear`` then an MSE over gathered rows, same bytes."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    samples, rows = np.asarray(samples, dtype=np.intp), np.asarray(rows, dtype=np.intp)
+    if x.ndim != 3 or 0 in x.shape[:2] or samples.shape != x.shape[:1] or rows.shape != x.shape[:2] \
+            or table.ndim != 3 or table.shape[2] != w.shape[-1] or min(samples.min(), rows.min()) < 0 \
+            or samples.max() >= len(table) or rows.max() >= table.shape[1]:
         raise ValueError(
-            f"mse expects a non-empty pred and a target of its shape, got {pred.shape} and {target.shape}"
-        )
-    # out= keeps even a 0-d difference an array the backward can scale in place
-    diff = np.subtract(pred.data, target, out=np.empty_like(pred.data))
-    count = diff.size
-    flat = diff.reshape(-1)
+            f"linear_mse expects [b, m, k] inputs (b, m >= 1), [b] samples and [b, m] rows in range of "
+            f"its target table, got {x.shape}, {samples.shape}, {rows.shape} and table {table.shape}")
+    diff, parents, gemm_grad = _gemm(x, w)
+    np.add(diff, b.data, out=diff)
+    for d, i, r in zip(diff, samples, rows):
+        d -= np.asarray(table[i, r], dtype=diff.dtype)
+    count, flat, bsh = diff.size, diff.reshape(-1), b.shape
     loss = np.einsum("i,i->", flat, flat, dtype=np.float64) / count
 
     def grad_fn(g):
         # a python float keeps diff's dtype; a float64 0-d array would widen it
         np.multiply(diff, 2.0 * float(g) / count, out=diff)
-        return (diff,)
+        return (*gemm_grad(diff), _unbroadcast(diff, bsh))
 
-    return _result(loss, (pred,), grad_fn)
+    return _result(loss, (*parents, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------

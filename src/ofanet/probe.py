@@ -54,10 +54,14 @@ class ProbeReport:
 
 
 def parse_report_line(line: str) -> ProbeReport:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 5:
-        raise ValueError(f"report line needs 5 tab-separated fields, got {len(parts)}")
-    return ProbeReport(parts[0], parts[1], parts[2], parts[3], float(parts[4]))
+    *fields, value = line.rstrip("\n").split("\t")
+    try:
+        ok = len(fields) == 4 and 0.0 <= float(value) <= 1.0  # NaN fails both comparisons
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"report line {line!r} needs 5 tab-separated fields, the last a number in [0, 1]")
+    return ProbeReport(*fields, float(value))
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,11 @@ def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
     """Write an OFAD file atomically (temp file + rename; no partials)."""
     n, h, w, c = dataset.images.shape
     _check_ofad_shape(n, h, w, c)
-    kind = dataset.label_kind
+    labels, masks, kind = dataset.labels, dataset.masks, dataset.label_kind
+    if kind == LABEL_CLASS and (np.shape(labels) != (n,) or n and not 0 <= np.min(labels) <= np.max(labels) < 2**16):
+        raise ValueError(f"OFAD labels must be one value in [0, 65535] per image ({n}), got {labels!r}")
+    if kind == LABEL_MASK and np.shape(masks) != (n, h, w):
+        raise ValueError(f"OFAD masks must have the images' shape ({n}, {h}, {w}), got {np.shape(masks)}")
 
     def write(fh) -> None:
         fh.write(_DATASET_MAGIC)
@@ -350,9 +354,9 @@ def save_dataset(path: str | Path, dataset: LoadedDataset) -> None:
             # a contiguous array is its own buffer: no bytes copy per sample
             fh.write(np.ascontiguousarray(dataset.images[i], dtype="<f4"))
             if kind == LABEL_CLASS:
-                fh.write(struct.pack("<H", int(dataset.labels[i])))
+                fh.write(struct.pack("<H", int(labels[i])))
             elif kind == LABEL_MASK:
-                fh.write(np.ascontiguousarray(dataset.masks[i], dtype=np.uint8))
+                fh.write(np.ascontiguousarray(masks[i], dtype=np.uint8))
 
     atomic_write(path, write)
 

@@ -7,8 +7,8 @@ modality per epoch is dropped, keeping the per-epoch step count exact.
 
 Each stream is held as patch rows [n, tokens, p*p*c], patchified once when
 it is loaded; a step hands ``mim_forward_batch`` the stream and its
-mini-batch's image indices, and only the rows the step uses are gathered:
-the visible rows to embed and the masked rows as targets.
+mini-batch's image indices, and only the rows the step uses are read: the
+visible rows, gathered to embed, and the masked rows, as the loss's targets.
 
 A step trains three blocks of the parameter table: the modality's
 embedder, the shared backbone and the modality's decoder. The optimizer

@@ -2,10 +2,11 @@
 the model's row-sparse training step replaced, and the scalar projection the
 gradient tests take of an op's output.
 
-``masked_mse`` is the MIM loss as it was composed before ``ndtensor.mse``
-took the masked rows itself: ``gather_rows_batch`` over the prediction, a
-gather of the target's rows, then an unmasked MSE node whose forward and
-backward are the former ``ndtensor.mse``, verbatim.
+``masked_mse`` is the MIM loss as it was composed before
+``ndtensor.linear_mse`` fused it into the reconstruction head: over the
+head's output, a gather of the target rows from the table, then an unmasked
+MSE node whose forward and backward are the former ``ndtensor.mse``'s, out
+of place.
 
 ``full_row_mim_loss`` is the training loss with every row computed: every
 row embedded, then the visible tokens gathered for the backbone; a decoder
@@ -44,10 +45,10 @@ def unmasked_mse(pred: Tensor, target: Tensor) -> Tensor:
     return ndt._result(loss, (pred,), grad_fn)
 
 
-def masked_mse(pred: Tensor, target: np.ndarray, rows) -> Tensor:
+def masked_mse(pred: Tensor, table: np.ndarray, samples, rows) -> Tensor:
+    """pred [b, m, w] against ``table[samples[i], rows[i]]``."""
     rows = np.asarray(rows, dtype=np.intp)
-    target_rows = target[np.arange(rows.shape[0])[:, None], rows]
-    return unmasked_mse(ndt.gather_rows_batch(pred, rows), Tensor(target_rows))
+    return unmasked_mse(pred, Tensor(table[np.asarray(samples, dtype=np.intp)[:, None], rows]))
 
 
 def head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -100,7 +101,7 @@ def full_row_mim_loss(
         x = ndt.add(x, ndt.linear(ndt.gelu(ndt.linear(h, b["mlp.w1"], b["mlp.b1"])), b["mlp.w2"], b["mlp.b2"]))
     x = ndt.layernorm(x, p["norm.gamma"], p["norm.beta"])
     pred = ndt.linear(x, p["head.weight"], p["head.bias"])
-    return masked_mse(pred, patches, masked)
+    return masked_mse(ndt.gather_rows_batch(pred, masked), stream, batch, masked)
 
 
 def dot(y: Tensor, c) -> Tensor:

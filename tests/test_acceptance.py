@@ -161,12 +161,16 @@ def _op_cases(rng):
     case("layernorm_beta", np.zeros(6), lambda x: dot(
         ndt.layernorm(Tensor(g6), Tensor(np.ones(6)), x), ramp))
     case("gelu", g6 * 1.5, lambda x: dot(ndt.gelu(x), 1.0))
-    # the model's masked loss: the masked rows gathered, then mse
-    case("mse", b3[None, None], lambda x: ndt.mse(ndt.gather_rows_batch(x, [[0]]), b3[None, None] * 0.1))
-    t243 = rng.normal(size=(2, 4, 3))
-    rows = np.array([[3, 0], [1, 2]])
-    t_rows = t243[np.arange(2)[:, None], rows]
-    case("mse_masked", rng.normal(size=(2, 4, 3)), lambda x: ndt.mse(ndt.gather_rows_batch(x, rows), t_rows))
+    # the model's reconstruction head and masked loss: two rows of each of two
+    # samples, compared with the named rows of other images in a table
+    x223 = rng.normal(size=(2, 2, 3))
+    table = rng.normal(size=(3, 4, 4))
+    samples, rows = [2, 0], np.array([[3, 0], [1, 2]])
+    for role, x0 in (("input", x223), ("weight", w34), ("bias", b4)):
+        def head_loss(x, role=role):
+            args = {"input": Tensor(x223), "weight": Tensor(w34), "bias": Tensor(b4), role: x}
+            return ndt.linear_mse(args["input"], args["weight"], args["bias"], table, samples, rows)
+        case(f"mse_{role}", x0, head_loss)
     return cases, fd_target
 
 
@@ -242,7 +246,8 @@ def test_criterion_masking_contract():
     target = np.random.default_rng(5).normal(size=(1, n, 48)).astype(np.float32)
     pred = Tensor(np.zeros((1, n, 48), dtype=np.float32), requires_grad=True)
     masked_idx, _ = m.draw_masks(n, 0.75, [1])
-    ndt.backward(ndt.mse(ndt.gather_rows_batch(pred, masked_idx), target[:, masked_idx[0]]))
+    eye, zero = Tensor(np.eye(48, dtype=np.float32)), Tensor(np.zeros(48, dtype=np.float32))
+    ndt.backward(ndt.linear_mse(ndt.gather_rows_batch(pred, masked_idx), eye, zero, target, [0], masked_idx))
     visible = np.setdiff1d(np.arange(n), masked_idx[0])
     grad_ok = bool(np.all(pred.grad[0, visible] == 0.0) and np.any(pred.grad[0, masked_idx[0]] != 0.0))
 

@@ -241,12 +241,15 @@ def test_encode_permutation_equivariant():
 
 
 def test_decode_output_shapes():
+    # the decoder answers the 48 masked rows at its own width; the
+    # modality's head then maps them to patch rows
     for mid, ppc in (("naip", 48), ("enmap", 3584)):
         net = build_net((mid,))
         img = gen_pretrain_sample(REG.lookup(mid), 4, 0).image
         tokens, masked, visible = _masked_tokens(net, img, mid, 2)
-        pred = m.decode_tokens(net, m.encode_tokens(net, tokens), masked, visible, mid)
-        assert pred.shape == (1, 48, ppc)
+        hidden = m.decode_tokens(net, m.encode_tokens(net, tokens), masked, visible, mid)
+        assert hidden.shape == (1, 48, 32)
+        assert ndt.linear(hidden, *_head(net, mid)).shape == (1, 48, ppc)
         ndt.active_tape().clear()
 
 
@@ -260,7 +263,7 @@ def test_decode_mask_token_ablation():
     token = net.params["decoder.naip.mask_token"]
     net.params["decoder.naip.mask_token"] = Tensor(np.zeros_like(token.data), requires_grad=True)
     pred_zeroed = m.decode_tokens(net, latent, masked, visible, "naip").data
-    diff_masked = np.linalg.norm(pred - pred_zeroed)  # the head reads the masked rows alone
+    diff_masked = np.linalg.norm(pred - pred_zeroed)  # the decoder answers the masked rows alone
     assert diff_masked > 0
     ndt.active_tape().clear()
 
@@ -294,10 +297,17 @@ def test_decode_unknown_modality():
 # loss
 
 
+def _head(net, modality):
+    """The modality's reconstruction head: (weight, bias)."""
+    return net.params[f"decoder.{modality}.head.weight"], net.params[f"decoder.{modality}.head.bias"]
+
+
 def _mim_loss(pred: Tensor, target: np.ndarray, masked) -> Tensor:
-    """The MIM loss of full-row predictions: the masked rows gathered, then mse."""
-    masked = np.asarray(masked, dtype=np.intp)
-    return ndt.mse(ndt.gather_rows_batch(pred, masked), target[np.arange(len(masked))[:, None], masked])
+    """The MIM loss of full-row predictions: the masked rows gathered, then
+    ``linear_mse`` under an identity head, which changes no value."""
+    b, _, width = target.shape
+    return ndt.linear_mse(ndt.gather_rows_batch(pred, masked), Tensor(np.eye(width)), Tensor(np.zeros(width)),
+                          target, np.arange(b), masked)
 
 
 def test_mim_loss_perfect_reconstruction():
@@ -366,16 +376,16 @@ def test_mim_forward_batch_matches_per_sample_loop():
 def _image_path_loss(net, images, modality, ratio, keys):
     """The MIM loss as an image path composes it: the step patchifies the
     images, gathers their visible rows with their positions' rows of the
-    table for the embed, and takes an unmasked MSE (``composed.unmasked_mse``)
-    over the masked rows."""
+    table for the embed, runs the head as ``linear`` and takes an unmasked MSE
+    (``composed.unmasked_mse``) over the masked rows."""
     patches = m.patchify(images, net.dims.patch_size)
     weight, bias = (net.params[f"embedder.{modality}.{k}"] for k in ("weight", "bias"))
     masked, visible = m.draw_masks(net.dims.tokens, ratio, keys)
     samples = np.arange(len(images))[:, None]
     pos = Tensor(net.backbone_pos.data[visible])
     tokens = ndt.add(ndt.linear(Tensor(patches[samples, visible]), weight, bias), pos)
-    pred = m.decode_tokens(net, m.encode_tokens(net, tokens), masked, visible, modality)
-    return composed.unmasked_mse(pred, Tensor(patches[samples, masked]))
+    hidden = m.decode_tokens(net, m.encode_tokens(net, tokens), masked, visible, modality)
+    return composed.unmasked_mse(ndt.linear(hidden, *_head(net, modality)), Tensor(patches[samples, masked]))
 
 
 @pytest.mark.parametrize("modality", ["naip", "enmap"])
@@ -435,7 +445,8 @@ def test_mim_forward_batch_matches_full_row_chain(modality):
 def test_enmap_step_builds_no_full_width_token_array():
     # a desk enmap step embeds the 16 visible rows and decodes the 48 masked
     # ones against them: no tape array holds all 64 rows, and the decoder's
-    # attention takes 48 queries over 16 keys
+    # attention takes 48 queries over 16 keys. The head's output is the loss
+    # difference, which only the loss node holds: no tape array is head-wide
     net = m.build_ofanet(desk_dims(), builtin_modalities(), seed=0)
     stream = np.random.default_rng(8).normal(size=(20, 64, 3584)).astype(np.float32)
     batch = np.arange(2, 18)
@@ -446,11 +457,28 @@ def test_enmap_step_builds_no_full_width_token_array():
     (embed,) = [node for node in tape if any(p is embed_w for p in node.parents)]
     (head,) = [node for node in tape if any(p is head_b for p in node.parents)]
     assert embed.parents[0].shape == (16, 16, 3584)
-    assert head.out.shape == (16, 48, 3584)
+    assert head.parents[0].shape == (16, 48, 32) and head.out.shape == ()
     assert not [node.out.shape for node in tape if node.out.ndim > 1 and node.out.shape[-2] == 64]
+    assert not [node.out.shape for node in tape if node.out.ndim and node.out.shape[-1] == 3584]
     attention = [tuple(p.shape for p in node.parents) for node in tape
                  if node.grad_fn.__qualname__.startswith("attention.")]
     assert attention == [((16, 16, 64),) * 3] * 4 + [((16, 48, 32), (16, 16, 32), (16, 16, 32))] * 2
+
+
+def test_enmap_step_peak_memory_stays_near_naip(traced_peak):
+    # the head's output is the loss difference, so a desk enmap step at batch
+    # 16 holds one [16, 48, 3584] float32 array where a head output, a target
+    # gather and a difference took three: over naip's, its traced peak of one
+    # forward and backward stays under two of them
+    peaks = {}
+    for mid in ("naip", "enmap"):
+        net = build_net((mid,), seed=3)
+        images = np.stack([gen_pretrain_sample(REG.lookup(mid), 13, i).image for i in range(16)])
+        stream = m.patchify(images, 4)
+        keys = [derive_seed("peak", i) for i in range(16)]
+        peaks[mid] = traced_peak(
+            lambda: ndt.backward(m.mim_forward_batch(net, stream, mid, np.arange(16), 0.75, keys)))
+    assert peaks["enmap"] - peaks["naip"] < 2 * 16 * 48 * 3584 * 4, peaks
 
 
 def test_gather_rows_batch_matches_loop():

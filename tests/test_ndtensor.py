@@ -411,9 +411,10 @@ def test_broadcast_bias_add_grad():
 
 
 def test_backward_square_sum():
-    # the mean of squares over every row of [1, 4, 1]: gradient 2x / 4
+    # the mean of squares over every row of [1, 4, 1] under an identity
+    # head: gradient 2x / 4
     x = Tensor([[[1.0], [2.0], [3.0], [4.0]]], requires_grad=True)
-    ndt.backward(ndt.mse(x, np.zeros((1, 4, 1))))
+    ndt.backward(ndt.linear_mse(x, Tensor([[1.0]]), Tensor([0.0]), np.zeros((1, 4, 1)), [0], [[0, 1, 2, 3]]))
     np.testing.assert_array_equal(x.grad, [[[0.5], [1.0], [1.5], [2.0]]])
 
 
@@ -545,38 +546,60 @@ def test_forward_ops_finite_on_finite_inputs(vals):
 
 
 def test_mse_examples():
-    p = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
-    assert ndt.mse(p, p.data.copy()).item() == 0.0
-    assert ndt.mse(ndt.add(p, Tensor(1.0)), p.data.copy()).item() == pytest.approx(1.0)
+    # x @ w + b against the table rows each sample names
+    x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+    table = np.array([[[9.0, 9.0], [3.0, 4.0], [1.0, 2.0]], np.zeros((3, 2))])
+    eye, zero = Tensor(np.eye(2)), Tensor(np.zeros(2))
+    assert ndt.linear_mse(x, eye, zero, table, [0], [[2, 1]]).item() == 0.0
+    assert ndt.linear_mse(x, eye, Tensor([1.0, 1.0]), table, [0], [[2, 1]]).item() == pytest.approx(1.0)
+    assert ndt.linear_mse(x, Tensor(2 * np.eye(2)), zero, table, [0], [[2, 1]]).item() == pytest.approx(7.5)
+    assert ndt.linear_mse(x, eye, zero, table, [1], [[2, 1]]).item() == pytest.approx(7.5)
 
 
 def test_mse_grad():
-    # every row gathered, in shuffled order: the gradient of the plain MSE
+    # rows of two of three images, in shuffled order: the gradients of the
+    # plain MSE of x @ w + b for the input, the weight and the bias
     rng = np.random.default_rng(31)
-    p0 = rng.normal(size=(1, 3, 2))
-    t0 = rng.normal(size=(1, 3, 2))
-    rows = [[2, 0, 1]]
+    x0, w0, b0 = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 4)), rng.normal(size=4)
+    table = rng.normal(size=(3, 5, 4))
+    samples, rows = np.array([2, 0]), np.array([[4, 0, 1], [3, 2, 0]])
     with ndt.dtype_mode("float64"):
-        p = Tensor(p0, requires_grad=True)
-        ndt.backward(ndt.mse(ndt.gather_rows_batch(p, rows), t0[:, rows[0]]))
-        np.testing.assert_allclose(p.grad, 2.0 * (p0 - t0) / p0.size, rtol=1e-12)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        ndt.backward(ndt.linear_mse(x, w, b, table, samples, rows))
+    g = 2.0 * (x0 @ w0 + b0 - table[samples[:, None], rows]) / (2 * 3 * 4)
+    np.testing.assert_allclose(x.grad, g @ w0.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, np.einsum("bmk,bmn->kn", x0, g), rtol=1e-12)
+    np.testing.assert_allclose(b.grad, g.sum(axis=(0, 1)), rtol=1e-12)
 
 
 def test_mse_rejects_rows_that_are_not_a_mask_split():
-    # the masked loss is the gather of the masked rows followed by mse
+    # the rows gathered for the loss are a mask split, and the loss's own
+    # samples and target rows must fit its input and the table; a rejected
+    # call leaves nothing on the tape
     p = Tensor(np.zeros((2, 4, 3)), requires_grad=True)
-    t = np.zeros((2, 2, 3))
+    w, b, table = Tensor(np.eye(3)), Tensor(np.zeros(3)), np.zeros((2, 4, 3))
+
+    def loss(x, samples=(0, 1), rows=((0, 1), (1, 2)), table=table):
+        return ndt.linear_mse(x, w, b, table, samples, rows)
+
     with pytest.raises(ValueError, match="repeat"):
-        ndt.mse(ndt.gather_rows_batch(p, [[0, 1], [2, 2]]), t)
+        loss(ndt.gather_rows_batch(p, [[0, 1], [2, 2]]))
     with pytest.raises(IndexError, match="4 rows"):
-        ndt.mse(ndt.gather_rows_batch(p, [[0, 4], [1, 2]]), t)
+        loss(ndt.gather_rows_batch(p, [[0, 4], [1, 2]]))
     with pytest.raises(ValueError, match=r"\[2, m\]"):
-        ndt.mse(ndt.gather_rows_batch(p, [[0, 1]]), t)
-    with pytest.raises(ValueError, match="target"):
-        ndt.mse(ndt.gather_rows_batch(p, [[0, 1], [1, 2]]), np.zeros((2, 2, 2)))
+        loss(ndt.gather_rows_batch(p, [[0, 1]]))
+    x = ndt.gather_rows_batch(p, [[0, 1], [1, 2]])
     ndt.active_tape().clear()
+    for bad in (dict(table=np.zeros((2, 4, 2))), dict(table=np.zeros((8, 3))), dict(rows=[[0, 1]]),
+                dict(samples=[0])):
+        with pytest.raises(ValueError, match="target"):
+            loss(x, **bad)
     with pytest.raises(ValueError, match="target"):
-        ndt.mse(p, np.zeros((2, 4, 2)))
+        loss(Tensor(np.zeros((2, 0, 3))), rows=np.zeros((2, 0)))
+    for bad in (dict(rows=[[0, 4], [1, 2]]), dict(rows=[[0, -1], [1, 2]]), dict(samples=[0, 2]),
+                dict(samples=[-1, 0])):
+        with pytest.raises(ValueError, match="in range"):
+            loss(x, **bad)
     assert not ndt.active_tape()
 
 
@@ -589,19 +612,46 @@ def test_default_dtype_is_float32_and_mode_switch():
 
 def test_mse_float64_loss_float32_grad():
     rng = np.random.default_rng(32)
-    p0 = rng.normal(size=(1, 4, 7)).astype(np.float32)
+    x0, w0, b0 = (rng.normal(size=shape).astype(np.float32) for shape in ((1, 4, 3), (3, 7), (7,)))
     t0 = rng.normal(size=(1, 4, 7)).astype(np.float32)
     with ndt.dtype_mode("float32"):
-        p = Tensor(p0, requires_grad=True)
-        loss = ndt.mse(p, t0)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        loss = ndt.linear_mse(x, w, b, t0, [0], [[0, 1, 2, 3]])
         assert loss.data.dtype == np.float64
         # the difference is taken in float32, the kernel's working dtype
-        diff = (p0 - t0).astype(np.float64)
-        ref = np.sum(diff * diff) / diff.size
+        diff = (x0.reshape(4, 3) @ w0 + b0 - t0[0]).reshape(1, 4, 7)
+        assert diff.dtype == np.float32
+        ref = np.sum(diff.astype(np.float64) ** 2) / diff.size
         assert loss.item() == pytest.approx(ref, rel=1e-12)
         ndt.backward(loss)
-    assert p.grad.dtype == np.float32
-    np.testing.assert_allclose(p.grad, 2.0 * (p0 - t0) / p0.size, rtol=1e-6)
+    assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
+    g = diff * (2.0 / diff.size)
+    assert g.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, (g.reshape(4, 7) @ w0.T).reshape(1, 4, 3))
+    np.testing.assert_array_equal(w.grad, x0.reshape(4, 3).T @ g.reshape(4, 7))
+    np.testing.assert_array_equal(b.grad, g.sum(axis=(0, 1)))
+    np.testing.assert_allclose(b.grad, 2.0 * diff.astype(np.float64).sum(axis=(0, 1)) / diff.size, rtol=1e-5)
+
+
+def test_mse_casts_a_float64_table_once():
+    # in float32 mode each float64 target slice is rounded to float32 before
+    # the subtraction: the bytes of a table cast up front, not those of a
+    # float64 difference rounded afterwards
+    rng = np.random.default_rng(33)
+    x0 = rng.normal(size=(2, 3, 4)).astype(np.float32)
+    w0, b0 = rng.normal(size=(4, 5)).astype(np.float32), rng.normal(size=5).astype(np.float32)
+    table = rng.normal(size=(3, 6, 5))
+    samples, rows = np.array([2, 1]), np.array([[5, 0, 3], [1, 4, 2]])
+    results = []
+    for t in (table, table.astype(np.float32)):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        loss = ndt.linear_mse(x, w, b, t, samples, rows)
+        ndt.backward(loss)
+        results.append([loss.data.tobytes()] + [v.grad.tobytes() for v in (x, w, b)])
+    assert results[0] == results[1]
+    pred = (x0.reshape(6, 4) @ w0).reshape(2, 3, 5) + b0
+    target = table[samples[:, None], rows]
+    assert (pred - target).astype(np.float32).tobytes() != (pred - target.astype(np.float32)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +686,16 @@ def _grad_fn_cases(rng):
         case(f"add_{s}", lambda shape=shape: [x(*shape), x(*shape)], lambda a, b: ndt.add(a, b))
         case(f"add_fanout_{s}", lambda shape=shape: [x(*shape)], lambda a: ndt.add(a, a))
         case(f"gelu_{s}", lambda shape=shape: [x(*shape)], ndt.gelu)
-        # the masked MSE, the gather of the masked rows followed by mse (whose
-        # backward scales its forward's difference in place), over the shape's
-        # items as [b, n, d] (b only from 3 axes up), every other row masked
-        # from the last
+        # the fused head and masked loss (whose backward scales its forward's
+        # difference in place): the shape's items as an [b, n, d] table (b
+        # only from 3 axes up), every other row of it from the last a target,
+        # with samples in reverse, under [b, m, d] inputs and a [d, d] head
         b, d = (shape[0] if len(shape) > 2 else 1), (shape[-1] if shape else 1)
         bnd = (b, math.prod(shape) // (b * d), d)
         rows = np.tile(np.arange(bnd[1])[::-2], (b, 1))
-        target = _frozen(rng.normal(size=(b, rows.shape[1], d)).astype(np.float32))
-        case(f"mse_{s}", lambda bnd=bnd: [x(*bnd)],
-             lambda a, target=target, rows=rows: ndt.mse(ndt.gather_rows_batch(a, rows), target))
+        table, samples = _frozen(rng.normal(size=bnd).astype(np.float32)), np.arange(b)[::-1]
+        case(f"mse_{s}", lambda b=b, m=rows.shape[1], d=d: [x(b, m, d), x(d, d), x(d)],
+             lambda a, w, bias, t=table, i=samples, r=rows: ndt.linear_mse(a, w, bias, t, i, r))
         if shape:
             case(f"layernorm_{s}", lambda shape=shape: [x(*shape), x(shape[-1]), x(shape[-1])],
                  ndt.layernorm)
@@ -889,55 +939,65 @@ def test_attention_matches_composed_chain_bytes(dtype, shape, heads):
     ndt.active_tape().clear()
 
 
-# desk patch-row widths (naip 4 * 4 * 3 = 48, gaofen 64, enmap 3,584), 48 of 64
-# rows masked; float32 targets, as the trainer's patch rows are. A loss
-# gradient of -0.75 turns exact-zero differences and the untouched rows'
-# products into -0.0, so a backward that scales after its scatter, or
-# scatter-adds, shows in the bytes
+# desk head widths (naip 4 * 4 * 3 = 48, gaofen 64, enmap 3,584) over the
+# 32-wide decoder states of 48 of 64 rows; float32 targets, as the trainer's
+# patch rows are. Every seventh input row is zero, so it predicts the bias,
+# and its targets are set to it: a loss gradient of -0.75 turns those
+# exact-zero differences into -0.0
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("width", [48, 64, 3584])
 def test_mse_matches_composed_chain_bytes(dtype, width):
     rng = np.random.default_rng(71)
-    b, n, m = 3, 64, 48
+    b, n, m, k = 3, 64, 48, 32
     with ndt.dtype_mode(dtype):
-        target = rng.normal(size=(b, n, width)).astype(np.float32)
-        pred0 = _spread(rng, (b, n, width), dtype)
-        pred0.reshape(-1)[5::7] = target.reshape(-1)[5::7]
+        x0, w0 = _spread(rng, (b, m, k), dtype), _spread(rng, (k, width), dtype)
+        x0[:, ::7] = 0.0
+        b0 = _spread(rng, (width,), dtype).astype(np.float32).astype(dtype)
+        table = rng.normal(size=(b + 2, n, width)).astype(np.float32)
+        samples = rng.permutation(b + 2)[:b]
         rows = np.stack([rng.permutation(n)[:m] for _ in range(b)])
-
+        table[samples[:, None], rows[:, ::7]] = b0.astype(np.float32)
         g0 = np.array(-0.75)
-        batch = np.arange(b)[:, None]
 
-        def masked_loss(pred):  # the model's masked loss: gather, then mse
-            return ndt.mse(ndt.gather_rows_batch(pred, rows), target[batch, rows])
+        def fused(x, w, bias):
+            return ndt.linear_mse(x, w, bias, table, samples, rows)
 
-        loss = masked_loss(Tensor(pred0, requires_grad=True))
-        gather_node, mse_node = ndt.active_tape()
-        (got,) = gather_node.grad_fn(*mse_node.grad_fn(g0))
+        def chain(x, w, bias):  # the head as ``linear``, then the masked MSE it fused
+            return composed.masked_mse(ndt.linear(x, w, bias), table, samples, rows)
+
+        def leaves():
+            return [Tensor(a, requires_grad=True) for a in (x0, w0, b0)]
+
+        loss = fused(*leaves())
+        (node,) = ndt.active_tape()
+        got = node.grad_fn(g0)
         ndt.active_tape().clear()
-        ref = composed.masked_mse(Tensor(pred0, requires_grad=True), target, rows)
-        gather_node, mse_node = ndt.active_tape()
-        (want,) = gather_node.grad_fn(*mse_node.grad_fn(g0))
+        ref = chain(*leaves())
+        matmul_node, add_node, mse_node = ndt.active_tape()
+        g_prod, g_bias = add_node.grad_fn(*mse_node.grad_fn(g0))
+        want = (*matmul_node.grad_fn(g_prod), g_bias)
         ndt.active_tape().clear()
         assert loss.data.dtype == ref.data.dtype == np.float64
         assert loss.data.tobytes() == ref.data.tobytes()
-        assert got.dtype == want.dtype == pred0.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert len(got) == len(want) == 3
+        for a, b_ in zip(got, want):
+            assert a.dtype == b_.dtype == x0.dtype and a.shape == b_.shape
+            assert a.tobytes() == b_.tobytes()
 
-        # the data tell those two mutant backwards from the real one
-        diff = pred0[batch, rows] - target[batch, rows].astype(dtype)
+        # the data tell a backward that scales after the gemm or after the
+        # bias sum from the real one
+        target = table[samples[:, None], rows].astype(dtype)
+        diff = ndt.linear(Tensor(x0), Tensor(w0), Tensor(b0)).data - target
+        assert (diff == 0).any()
         scale = 2.0 * float(g0) / diff.size
-        after = np.zeros_like(pred0)
-        after[batch, rows] = diff
-        after *= scale
-        added = np.zeros_like(pred0)
-        added[batch, rows] += diff * scale
-        assert after.tobytes() != want.tobytes() and added.tobytes() != want.tobytes()
+        after_gemm = ((diff.reshape(-1, width) @ w0.T) * scale).reshape(x0.shape)
+        assert after_gemm.tobytes() != want[0].tobytes()
+        assert (diff.sum(axis=(0, 1)) * scale).tobytes() != want[2].tobytes()
 
         # and through backward, from the loss's own unit gradient
         grads = []
-        for build in (masked_loss, lambda pred: composed.masked_mse(pred, target, rows)):
-            pred = Tensor(pred0, requires_grad=True)
-            ndt.backward(build(pred))
-            grads.append(pred.grad)
-        assert grads[0].dtype == grads[1].dtype and grads[0].tobytes() == grads[1].tobytes()
+        for build in (fused, chain):
+            inputs = leaves()
+            ndt.backward(build(*inputs))
+            grads.append([t.grad.tobytes() for t in inputs])
+        assert grads[0] == grads[1]

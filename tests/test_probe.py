@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -375,3 +376,19 @@ def test_report_line_roundtrip():
     assert back.task == r.task and back.dataset == r.dataset
     assert back.method == r.method and back.metric == r.metric
     assert back.value == pytest.approx(r.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1.5", "-0.1", "", "top1"])
+def test_report_line_rejects_a_value_outside_0_1(value):
+    # `ofanet report` would print the row; the error names the line
+    line = f"{CLS_TASK}\tenmap\tofa\ttop1\t{value}"
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse_report_line(line)
+
+
+def test_report_line_bounds_and_field_count():
+    assert parse_report_line(f"{SEG_TASK}\tnaip\tofa\tmiou\t0.000000").value == 0.0
+    assert parse_report_line(f"{SEG_TASK}\tnaip\tofa\tmiou\t1.000000").value == 1.0
+    for line in (f"{SEG_TASK}\tnaip\tmiou\t0.5", f"{SEG_TASK}\tnaip\tofa\tmiou\t0.5\textra"):
+        with pytest.raises(ValueError, match="5 tab-separated fields"):
+            parse_report_line(line)

@@ -332,6 +332,25 @@ def test_ofad_save_names_a_shape_beyond_the_header(tmp_path, shape, field):
     sd._check_ofad_shape(*(min(x, limit) for x in shape))
 
 
+@pytest.mark.parametrize("labels, masks, field", [
+    (None, np.zeros((3, 8, 4), dtype=np.uint8), "masks"),  # not the images' [n, h, w]
+    (None, np.zeros((2, 8, 8), dtype=np.uint8), "masks"),
+    (np.array([0, 1, 65_536]), None, "labels"),  # beyond the u16 field
+    (np.array([0, -1, 2]), None, "labels"),
+    (np.array([0, 1, 2, 3]), None, "labels"),  # more labels than images
+    (np.array([0, 1]), None, "labels"),
+])
+def test_ofad_save_rejects_labels_or_masks_its_reader_would_not_load(tmp_path, labels, masks, field):
+    # each is refused, naming the field, before any file is opened
+    images = np.zeros((3, 8, 8, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match=f"^OFAD {field} must"):
+        sd.save_dataset(tmp_path / "bad.ofad", sd.LoadedDataset("sentinel1", images, labels, masks))
+    assert list(tmp_path.iterdir()) == []
+    # the edges of the label range round-trip
+    sd.save_dataset(tmp_path / "edge.ofad", sd.LoadedDataset("sentinel1", images, np.array([0, 7, 65_535])))
+    assert sd.load_dataset(tmp_path / "edge.ofad").labels.tolist() == [0, 7, 65_535]
+
+
 def test_ofad_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ofad"
     bad.write_bytes(b"NOPE" + b"\x00" * 16)
