@@ -80,14 +80,8 @@ def _cmd_probe(args) -> int:
     if n < 2:
         raise ValueError(f"{args.data}: sample count {n} < 2; a probe needs one sample "
                          "to fit the head and one to evaluate it")
-    if args.classes:
-        k = args.classes
-    elif task == CLS_TASK:
-        k = int(data.labels.max()) + 1
-    else:
-        k = int(data.masks.max()) + 1
-
-    probe_cfg = ProbeConfig(task=task, lr=args.lr, epochs=args.epochs, k_classes=k)
+    k = int((data.labels if task == CLS_TASK else data.masks).max()) + 1
+    probe_cfg = ProbeConfig(task=task, k_classes=k)
     probe_cfg.validate()
 
     if args.checkpoint == RANDOM_INIT:
@@ -103,7 +97,10 @@ def _cmd_probe(args) -> int:
     print(line)
     if args.out:
         out = Path(args.out)
-        text = (out.read_bytes() if out.exists() else b"") + (line + "\n").encode("utf-8")
+        text = out.read_bytes() if out.exists() else b""
+        if text and not text.endswith(b"\n"):
+            text += b"\n"  # a hand-edited last line keeps its own line
+        text += (line + "\n").encode("utf-8")
         atomic_write(out, lambda fh: fh.write(text))
     return 0
 
@@ -139,9 +136,12 @@ def _cmd_inspect(args) -> int:
 def _cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
-        for line in Path(path).read_text().splitlines():
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             if line.strip():
-                reports.append(probe_mod.parse_report_line(line))
+                try:
+                    reports.append(probe_mod.parse_report_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     print(probe_mod.compare_runs(reports))
     return 0
 
@@ -174,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--task", required=True, choices=sorted(_TASK_ALIASES))
     b.add_argument("--checkpoint", required=True, help=f"OFAC path or {RANDOM_INIT!r}")
     b.add_argument("--data", required=True, help="labeled OFAD file")
-    b.add_argument("--lr", type=float, default=None, help="head lr (default: 1e-2 cls, 1e-4 seg)")
-    b.add_argument("--epochs", type=int, default=ProbeConfig.epochs)
-    b.add_argument("--classes", type=int, default=0, help="class count (default: from data)")
     b.add_argument("--config", default=None, help=f"run config for the {RANDOM_INIT!r} net")
     b.add_argument("--method", default=None, help="method label for reports")
     b.add_argument("--out", default=None, help="append the report line to this file")

@@ -9,7 +9,7 @@ every default is spelled out, so a later change to a TrainConfig default
 cannot change what `load_net` rebuilds. Unknown sections or keys are
 rejected; the first offending line is reported by number. Blank lines and
 lines starting with '#' are ignored. A linear probe's ProbeConfig comes from
-`ofanet probe`'s flags and its data, never from a document.
+`ofanet probe`'s task and its data, never from a document.
 
 Reference setting from the source experiments, for the record: 10,000
 samples per modality (50,000 total), 100 pretraining epochs. The desk-scale
@@ -89,21 +89,17 @@ class TrainConfig:
 @dataclass
 class ProbeConfig:
     task: str = CLS_TASK
-    lr: float | None = None  # None -> task default (1e-2 cls, 1e-4 seg)
     epochs: int = 100
     k_classes: int = 4
 
     @property
     def resolved_lr(self) -> float:
-        if self.lr is not None:
-            return self.lr
+        """The head's step size, fixed by the task: no caller tunes it."""
         return DEFAULT_CLS_LR if self.task == CLS_TASK else DEFAULT_SEG_LR
 
     def validate(self) -> None:
         if self.task not in (CLS_TASK, SEG_TASK):
             raise ValueError(f"task must be {CLS_TASK!r} or {SEG_TASK!r}, got {self.task!r}")
-        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.k_classes < 2:

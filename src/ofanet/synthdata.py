@@ -170,19 +170,40 @@ def _assemble(spectral: np.ndarray, fields: np.ndarray, noise: np.ndarray) -> np
     return np.clip(noise, -IMAGE_CLAMP, IMAGE_CLAMP, out=np.empty(noise.shape, dtype=np.float32))
 
 
+def _image(rng: np.random.Generator, spectral: np.ndarray, channels: int, size: int, passes: int) -> np.ndarray:
+    """One sample's image: texture fields, then the noise, drawn from `rng`
+    in that order, assembled with the `spectral` knot values."""
+    fields = _texture_fields(rng, channels, size, size, passes)
+    noise = rng.standard_normal((size, size, channels))
+    return _assemble(spectral, fields, noise)
+
+
+def _check_args(size: int, n: int = 0, k_classes: int | None = None) -> None:
+    """Reject an image size below 1 and, for a labeled set, a class count
+    outside [2, 255] or fewer images than classes."""
+    if size < 1:
+        raise ValueError(f"image size must be >= 1, got {size}")
+    if k_classes is None:
+        return
+    if k_classes < 2:
+        raise ValueError(f"k_classes must be >= 2, got {k_classes}")
+    if k_classes > 255:
+        raise ValueError(f"k_classes must be <= 255, got {k_classes}")
+    if n < k_classes:
+        raise ValueError(f"need n >= k_classes, got n={n}, k={k_classes}")
+
+
 def gen_pretrain_sample(
     spec: ModalitySpec, global_seed: int, index: int, size: int = DESK_IMAGE_SIZE
 ) -> SynthSample:
     """Unlabeled sample: a fresh random signature per index."""
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
-    _check_size(size)
+    _check_args(size)
     rng = generator("pretrain", global_seed, spec.id, index)
     spectral = rng.uniform(-1.0, 1.0, spectral_knots(spec.channels))
     passes = int(rng.integers(2, 7))
-    fields = _texture_fields(rng, spec.channels, size, size, passes)
-    noise = rng.standard_normal((size, size, spec.channels))
-    return SynthSample(image=_assemble(spectral, fields, noise))
+    return SynthSample(image=_image(rng, spectral, spec.channels, size, passes))
 
 
 def gen_pretrain_stream(
@@ -192,10 +213,9 @@ def gen_pretrain_stream(
     return parallel_map(lambda i: gen_pretrain_sample(spec, global_seed, i, size), range(count))
 
 
-def class_palette(spec: ModalitySpec, k_classes: int, global_seed: int) -> list[ClassSignature]:
+def _class_palette(spec: ModalitySpec, k_classes: int, global_seed: int) -> list[ClassSignature]:
     """k signatures: one shared base spectrum plus offsets spaced evenly on a
     circle of radius CLASS_RADIUS (on a line for a single knot)."""
-    _check_classes(k_classes)
     rng = generator("palette", global_seed, spec.id, k_classes)
     knots = spectral_knots(spec.channels)
     base = rng.uniform(-1.0, 1.0, knots)
@@ -207,18 +227,6 @@ def class_palette(spec: ModalitySpec, k_classes: int, global_seed: int) -> list[
         offsets = CLASS_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1) @ plane.T
     passes = rng.integers(2, 7, k_classes)
     return [ClassSignature(base + offsets[i], int(passes[i])) for i in range(k_classes)]
-
-
-def _check_size(size: int) -> None:
-    if size < 1:
-        raise ValueError(f"image size must be >= 1, got {size}")
-
-
-def _check_classes(k_classes: int) -> None:
-    if k_classes < 2:
-        raise ValueError(f"k_classes must be >= 2, got {k_classes}")
-    if k_classes > 255:
-        raise ValueError(f"k_classes must be <= 255, got {k_classes}")
 
 
 def _scene_shift(rng: np.random.Generator, knots: int) -> np.ndarray:
@@ -233,11 +241,8 @@ def gen_cls_dataset(
     size: int = DESK_IMAGE_SIZE,
 ) -> list[SynthSample]:
     """Labeled classification set; class counts balanced within one."""
-    _check_classes(k_classes)
-    _check_size(size)
-    if n < k_classes:
-        raise ValueError(f"need n >= k_classes, got n={n}, k={k_classes}")
-    palette = class_palette(spec, k_classes, global_seed)
+    _check_args(size, n, k_classes)
+    palette = _class_palette(spec, k_classes, global_seed)
     knots = spectral_knots(spec.channels)
     labels = np.array([i % k_classes for i in range(n)])
     generator("cls-labels", global_seed, spec.id, n, k_classes).shuffle(labels)
@@ -246,9 +251,8 @@ def gen_cls_dataset(
         sig = palette[labels[index]]
         rng = generator("cls", global_seed, spec.id, index)
         spectral = sig.spectral + _scene_shift(rng, knots)
-        fields = _texture_fields(rng, spec.channels, size, size, sig.texture_passes)
-        noise = rng.standard_normal((size, size, spec.channels))
-        return SynthSample(image=_assemble(spectral, fields, noise), label=int(labels[index]))
+        image = _image(rng, spectral, spec.channels, size, sig.texture_passes)
+        return SynthSample(image=image, label=int(labels[index]))
 
     return parallel_map(build, range(n))
 
@@ -261,11 +265,8 @@ def gen_seg_dataset(
     size: int = DESK_IMAGE_SIZE,
 ) -> list[SynthSample]:
     """Labeled segmentation set; mask = per-pixel argmax over k smooth fields."""
-    _check_classes(k_classes)
-    _check_size(size)
-    if n < k_classes:
-        raise ValueError(f"need n >= k_classes, got n={n}, k={k_classes}")
-    palette = class_palette(spec, k_classes, global_seed)
+    _check_args(size, n, k_classes)
+    palette = _class_palette(spec, k_classes, global_seed)
     spectra = np.stack([sig.spectral for sig in palette])  # [k, knots]
     knots = spectral_knots(spec.channels)
 
@@ -274,9 +275,8 @@ def gen_seg_dataset(
         class_fields = _standardize(_smooth(rng.standard_normal((k_classes, size, size)), SEG_FIELD_PASSES))
         mask = class_fields.argmax(axis=0).astype(np.uint8)
         spectral = spectra[mask] + _scene_shift(rng, knots)
-        fields = _texture_fields(rng, spec.channels, size, size, int(rng.integers(2, 7)))
-        noise = rng.standard_normal((size, size, spec.channels))
-        return SynthSample(image=_assemble(spectral, fields, noise), mask=mask)
+        passes = int(rng.integers(2, 7))
+        return SynthSample(image=_image(rng, spectral, spec.channels, size, passes), mask=mask)
 
     return parallel_map(build, range(n))
 

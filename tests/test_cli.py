@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -27,7 +28,6 @@ batch_size = 16
 epochs = 1
 modalities = sentinel1, naip
 """
-PROBE_EPOCHS = ["--epochs", "30"]
 
 
 @pytest.fixture()
@@ -158,7 +158,7 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
     lines_file = tmp_path / "reports.txt"
     assert main(["probe", "--task", "cls", "--checkpoint", "random-init",
                  "--data", str(data), "--config", str(tiny_config_path),
-                 "--out", str(lines_file)] + PROBE_EPOCHS) == 0
+                 "--out", str(lines_file)]) == 0
     out = capsys.readouterr().out.strip()
     task, dataset, method, metric, value = out.split("\t")
     assert (task, dataset, method, metric) == ("classification", "naip", "random-init", "top1")
@@ -166,7 +166,7 @@ def test_pretrain_probe_inspect_report_pipeline(tmp_path, tiny_config_path, caps
 
     assert main(["probe", "--task", "cls", "--checkpoint", str(final),
                  "--data", str(data), "--config", str(tiny_config_path),
-                 "--method", "ofa", "--out", str(lines_file)] + PROBE_EPOCHS) == 0
+                 "--method", "ofa", "--out", str(lines_file)]) == 0
     capsys.readouterr()
     assert len(lines_file.read_text().splitlines()) == 2
 
@@ -216,7 +216,7 @@ def test_probe_checkpoint_brings_its_own_modalities(tmp_path, tiny_config_path, 
                  "--config", str(thermal_cfg)]) == 0
     capsys.readouterr()
     assert main(["probe", "--task", "seg", "--checkpoint", str(run_dir / "checkpoint-final.ofac"),
-                 "--data", str(data), "--config", str(tiny_config_path)] + PROBE_EPOCHS) == 0
+                 "--data", str(data), "--config", str(tiny_config_path)]) == 0
     assert capsys.readouterr().out.startswith("segmentation\tthermal\tpretrained\tmiou\t")
 
 
@@ -259,10 +259,9 @@ def test_probe_task_data_mismatch(tmp_path, tiny_config_path, capsys):
 
 @pytest.mark.parametrize("kind", ["cls", "seg"])
 @pytest.mark.parametrize("count", [0, 1])
-@pytest.mark.parametrize("flags", [[], ["--classes", "3"]], ids=["inferred", "given"])
-def test_probe_rejects_a_set_too_small_to_split(tmp_path, capsys, kind, count, flags):
-    # one sample cannot both fit a head and evaluate it, whether or not the
-    # class count has to be read off the labels
+def test_probe_rejects_a_set_too_small_to_split(tmp_path, capsys, kind, count):
+    # one sample cannot both fit a head and evaluate it; the count is checked
+    # before the class count is read off the labels, which an empty set lacks
     data = tmp_path / f"{kind}.ofad"
     assert main(["gen-data", "--modality", "naip", "--kind", kind, "--count", "3", "--seed", "1",
                  "--classes", "3", "--size", "16", "--out", str(data)]) == 0
@@ -272,7 +271,7 @@ def test_probe_rejects_a_set_too_small_to_split(tmp_path, capsys, kind, count, f
         None if full.labels is None else full.labels[:count],
         None if full.masks is None else full.masks[:count]))
     capsys.readouterr()
-    rc = main(["probe", "--task", kind, "--checkpoint", "random-init", "--data", str(data)] + flags)
+    rc = main(["probe", "--task", kind, "--checkpoint", "random-init", "--data", str(data)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == f"error: {data}: sample count {count} < 2; a probe needs one sample " \
@@ -282,14 +281,14 @@ def test_probe_rejects_a_set_too_small_to_split(tmp_path, capsys, kind, count, f
 @pytest.mark.parametrize(
     "kind, flags, expected",
     [
-        ("cls", [], ProbeConfig(CLS_TASK, lr=None, epochs=100, k_classes=3)),
-        ("seg", [], ProbeConfig(SEG_TASK, lr=None, epochs=100, k_classes=2)),
-        ("cls", ["--lr", "0.5", "--epochs", "7", "--classes", "5"], ProbeConfig(CLS_TASK, 0.5, 7, 5)),
+        ("cls", [], ProbeConfig(CLS_TASK, epochs=100, k_classes=3)),
+        ("seg", ["--method", "ofa"], ProbeConfig(SEG_TASK, epochs=100, k_classes=2)),
     ],
 )
 def test_probe_flags_and_data_make_the_probe_config(tmp_path, capsys, monkeypatch, kind, flags, expected):
-    # the probe config comes from the flags and the data alone; unset --lr
-    # means the task default and unset --epochs ProbeConfig's 100
+    # the probe config comes from the task and the data alone, whatever the
+    # other flags: ProbeConfig's 100 epochs, and k is the largest label or
+    # mask value plus one
     data = tmp_path / f"{kind}.ofad"
     assert main(["gen-data", "--modality", "naip", "--kind", kind, "--count", "12", "--seed", "1",
                  "--classes", "3" if kind == "cls" else "2", "--size", "16", "--out", str(data)]) == 0
@@ -305,16 +304,47 @@ def test_probe_flags_and_data_make_the_probe_config(tmp_path, capsys, monkeypatc
     assert seen == [expected]
 
 
-@pytest.mark.parametrize("lr", ["nan", "inf"])
-def test_probe_rejects_a_non_finite_lr(tmp_path, capsys, lr):
-    # a NaN or infinite lr fits a NaN head, whose readout means nothing
+def test_probe_takes_exactly_its_six_flags(capsys):
+    # the head's lr and epochs are fixed by the probe protocol and k comes
+    # from the data, so no flag sets them
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for a in sub.choices["probe"]._actions for s in a.option_strings} - {"-h", "--help"}
+    assert flags == {"--task", "--checkpoint", "--data", "--config", "--method", "--out"}
+    for flag in ("--lr", "--epochs", "--classes"):
+        with pytest.raises(SystemExit) as exited:
+            main(["probe", "--task", "cls", "--checkpoint", "random-init", "--data", "x.ofad", flag, "1"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_probe_out_starts_its_line_after_an_unterminated_last_line(tmp_path, tiny_config_path, capsys):
+    # a hand-edited report file may lack its final newline; the appended
+    # line must not run on from it
     data = tmp_path / "cls.ofad"
-    assert main(["gen-data", "--modality", "naip", "--kind", "cls", "--count", "4", "--seed", "1",
+    assert main(["gen-data", "--modality", "naip", "--kind", "cls", "--count", "8", "--seed", "1",
                  "--classes", "2", "--size", "16", "--out", str(data)]) == 0
+    edited = "classification\tnaip\tbaseline\ttop1\t0.500000"
+    lines_file = tmp_path / "reports.txt"
+    lines_file.write_text(edited)
     capsys.readouterr()
-    rc = main(["probe", "--task", "cls", "--checkpoint", "random-init", "--data", str(data), "--lr", lr])
+    assert main(["probe", "--task", "cls", "--checkpoint", "random-init", "--data", str(data),
+                 "--config", str(tiny_config_path), "--out", str(lines_file)]) == 0
+    line = capsys.readouterr().out
+    assert lines_file.read_text() == edited + "\n" + line
+    assert main(["report", "--inputs", str(lines_file)]) == 0
+    assert "baseline" in capsys.readouterr().out
+
+
+def test_report_error_names_the_file_and_line(tmp_path, capsys):
+    good = tmp_path / "a.txt"
+    good.write_text("classification\tnaip\trandom-init\ttop1\t0.500000\n")
+    bad = tmp_path / "b.txt"
+    bad.write_text("classification\tnaip\tofa\ttop1\t0.750000\n\nclassification\tnaip\tofa\ttop1\tnan\n")
+    rc = main(["report", "--inputs", str(good), str(bad)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: lr must be positive, got {lr}\n"
+    assert capsys.readouterr().err == (
+        f"error: {bad}:3: report line 'classification\\tnaip\\tofa\\ttop1\\tnan' needs 5 "
+        "tab-separated fields, the last a number in [0, 1]\n")
 
 
 def test_bad_config_reports_line(tmp_path, capsys):
